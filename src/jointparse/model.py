@@ -8,6 +8,16 @@ boundary vectors, combine from three (the boundary below the top span plus
 the top span), and labeling from the span's two boundaries and its retained
 midpoint, with one output per label chain plus a no-label slot.
 
+Both layers are computed per document rather than per step.  Each LSTM's
+input projection does not depend on the recurrence, so it is one matrix
+product over all tokens, and backward keeps only the recurrence in its
+time loop before finishing with matrix products over all steps.  A head's
+first layer applied to concatenated boundary vectors is a sum of its
+per-boundary column blocks, so `encode` projects every boundary through
+every block once; a step's pre-activation is then a sum of two or three
+projected rows, and backward collects per-boundary gradients that one
+matrix product per block turns into weight and feature gradients.
+
 Everything is float64 numpy with hand-written backpropagation, so gradient
 correctness is checkable against central finite differences.
 """
@@ -107,32 +117,52 @@ def _glorot(rng, rows, cols):
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def init_parameters(vocab, config, rng) -> dict:
-    """Fresh float64 parameters for the given vocabulary and dimensions."""
+# Column blocks of each head's first layer, one per boundary vector it reads.
+HEAD_BLOCKS = {"shift": 2, "combine": 3, "label": 3}
+
+
+def parameter_shapes(vocab, config) -> dict:
+    """Name -> shape of every parameter, in the order `init_parameters`
+    draws them."""
     H, dw, hs = config.hidden_dim, config.word_dim, config.scorer_hidden
-    D = config.boundary_dim
-    params = {"embed": rng.uniform(-0.1, 0.1, size=(vocab.n_words, dw))}
+    shapes = {"embed": (vocab.n_words, dw)}
     for name, in_dim in (
         ("lstm1f", dw),
         ("lstm1b", dw),
         ("lstm2f", 2 * H),
         ("lstm2b", 2 * H),
     ):
-        params[f"{name}.Wx"] = _glorot(rng, 4 * H, in_dim)
-        params[f"{name}.Wh"] = _glorot(rng, 4 * H, H)
-        bias = np.zeros(4 * H)
-        bias[H : 2 * H] = 1.0  # forget-gate bias keeps early memory open
-        params[f"{name}.b"] = bias
-    for head, width in (("shift", 2 * D), ("combine", 3 * D)):
-        params[f"{head}.W1"] = _glorot(rng, hs, width)
-        params[f"{head}.b1"] = np.zeros(hs)
-        params[f"{head}.w2"] = _glorot(rng, 1, hs)[0]
-        params[f"{head}.b2"] = np.zeros(1)
-    params["label.W1"] = _glorot(rng, hs, 3 * D)
-    params["label.b1"] = np.zeros(hs)
-    params["label.W2"] = _glorot(rng, vocab.label_dim, hs)
-    params["label.b2"] = np.zeros(vocab.label_dim)
-    return {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+        shapes[f"{name}.Wx"] = (4 * H, in_dim)
+        shapes[f"{name}.Wh"] = (4 * H, H)
+        shapes[f"{name}.b"] = (4 * H,)
+    for head, blocks in HEAD_BLOCKS.items():
+        shapes[f"{head}.W1"] = (hs, blocks * config.boundary_dim)
+        shapes[f"{head}.b1"] = (hs,)
+        if head == "label":
+            shapes["label.W2"] = (vocab.label_dim, hs)
+            shapes["label.b2"] = (vocab.label_dim,)
+        else:
+            shapes[f"{head}.w2"] = (hs,)
+            shapes[f"{head}.b2"] = (1,)
+    return shapes
+
+
+def init_parameters(vocab, config, rng) -> dict:
+    """Fresh float64 parameters for the given vocabulary and dimensions."""
+    params = {}
+    for key, shape in parameter_shapes(vocab, config).items():
+        kind = key.rpartition(".")[2]
+        if key == "embed":
+            params[key] = rng.uniform(-0.1, 0.1, size=shape)
+        elif kind == "w2":
+            params[key] = _glorot(rng, 1, shape[0])[0]
+        elif kind[0] == "W":
+            params[key] = _glorot(rng, *shape)
+        else:
+            params[key] = np.zeros(shape)
+            if kind == "b":  # forget-gate bias keeps early memory open
+                params[key][config.hidden_dim : 2 * config.hidden_dim] = 1.0
+    return params
 
 
 def zero_gradients(params) -> dict:
@@ -144,40 +174,37 @@ def zero_gradients(params) -> dict:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass
 class _LstmCache:
-    xs: np.ndarray       # (n, in_dim)
-    states: np.ndarray   # (n+1, H); states[t] = hidden after t inputs
-    cells: np.ndarray    # (n+1, H)
-    gates: list          # per step (i, f, o, g, tanh_c)
+    xs: np.ndarray          # (n, in_dim)
+    states: np.ndarray      # (n+1, H); states[t] = hidden after t inputs
+    cells: np.ndarray       # (n+1, H)
+    gates: np.ndarray       # (n, 4H): sigmoid i, f, o and tanh g per step
+    tanh_cells: np.ndarray  # (n, H)
 
 
 def _lstm_forward(Wx, Wh, b, xs) -> _LstmCache:
     n = xs.shape[0]
     H = Wh.shape[1]
+    inputs = xs @ Wx.T + b
     states = np.zeros((n + 1, H))
     cells = np.zeros((n + 1, H))
-    gates = []
+    gates = np.empty((n, 4 * H))
+    tanh_cells = np.empty((n, H))
     for t in range(n):
-        z = Wx @ xs[t] + Wh @ states[t] + b
-        i = _sigmoid(z[:H])
-        f = _sigmoid(z[H : 2 * H])
-        o = _sigmoid(z[2 * H : 3 * H])
-        g = np.tanh(z[3 * H :])
-        c = f * cells[t] + i * g
-        tc = np.tanh(c)
-        states[t + 1] = o * tc
-        cells[t + 1] = c
-        gates.append((i, f, o, g, tc))
-    return _LstmCache(xs, states, cells, gates)
+        z = inputs[t] + Wh @ states[t]
+        gates[t, : 3 * H] = _sigmoid(z[: 3 * H])
+        gates[t, 3 * H :] = np.tanh(z[3 * H :])
+        i, f, o, g = gates[t].reshape(4, H)
+        cells[t + 1] = f * cells[t] + i * g
+        np.tanh(cells[t + 1], out=tanh_cells[t])
+        np.multiply(o, tanh_cells[t], out=states[t + 1])
+    return _LstmCache(xs, states, cells, gates, tanh_cells)
 
 
 def _lstm_backward(Wx, Wh, cache, d_states):
@@ -189,35 +216,29 @@ def _lstm_backward(Wx, Wh, cache, d_states):
     """
     n = cache.xs.shape[0]
     H = Wh.shape[1]
-    d_xs = np.zeros_like(cache.xs)
-    dWx = np.zeros_like(Wx)
-    dWh = np.zeros_like(Wh)
-    db = np.zeros(4 * H)
+    i, f, o, g = np.split(cache.gates, 4, axis=1)
+    tc = cache.tanh_cells
+    # Row t of dZ starts as step t's local derivatives, the factors that
+    # scale the cell gradient into the i, f and g blocks and the hidden
+    # gradient into the o block; the loop scales them in place.
+    dZ = np.concatenate(
+        [g * i * (1.0 - i), cache.cells[:-1] * f * (1.0 - f),
+         tc * o * (1.0 - o), i * (1.0 - g * g)],
+        axis=1,
+    )
+    dc_dh = o * (1.0 - tc * tc)
     dh = np.zeros(H)
     dc = np.zeros(H)
     for t in range(n - 1, -1, -1):
-        dh = dh + d_states[t + 1]
-        i, f, o, g, tc = cache.gates[t]
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        df = dc * cache.cells[t]
-        dg = dc * i
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g * g),
-            ]
-        )
-        dWx += np.outer(dz, cache.xs[t])
-        dWh += np.outer(dz, cache.states[t])
-        db += dz
-        d_xs[t] = Wx.T @ dz
-        dh = Wh.T @ dz
-        dc = dc * f
-    return d_xs, dWx, dWh, db
+        dh += d_states[t + 1]
+        dc += dh * dc_dh[t]
+        dz = dZ[t].reshape(4, H)
+        dz[:2] *= dc
+        dz[2] *= dh
+        dz[3] *= dc
+        dh = dZ[t] @ Wh
+        dc *= f[t]
+    return dZ @ Wx, dZ.T @ cache.xs, dZ.T @ cache.states[:-1], dZ.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +275,14 @@ def sample_hidden_mask(config, rate, rng):
 class Encoding:
     ids: np.ndarray
     boundary: np.ndarray          # (n+1, 4H) after feature dropout
+    # head -> boundary @ W1-block.T per column block, each (n+1, scorer_hidden)
+    heads: dict = field(repr=False, default_factory=dict)
     caches: dict = field(repr=False, default_factory=dict)
     masks: DropoutMasks | None = None
 
     @property
     def n(self):
         return len(self.ids)
-
-    def feature(self, p):
-        if p < 0:
-            return np.zeros(self.boundary.shape[1])
-        return self.boundary[p]
 
 
 def encode(params, ids, masks: DropoutMasks | None = None) -> Encoding:
@@ -279,23 +297,34 @@ def encode(params, ids, masks: DropoutMasks | None = None) -> Encoding:
         params["lstm1b.Wx"], params["lstm1b.Wh"], params["lstm1b.b"], E[::-1]
     )
     out1 = np.concatenate([c1f.states[1:], c1b.states[1:][::-1]], axis=1)
-    out1d = out1 * masks.layer1 if masks is not None else out1
+    if masks is not None:
+        out1 *= masks.layer1
     c2f = _lstm_forward(
-        params["lstm2f.Wx"], params["lstm2f.Wh"], params["lstm2f.b"], out1d
+        params["lstm2f.Wx"], params["lstm2f.Wh"], params["lstm2f.b"], out1
     )
     c2b = _lstm_forward(
-        params["lstm2b.Wx"], params["lstm2b.Wh"], params["lstm2b.b"], out1d[::-1]
+        params["lstm2b.Wx"], params["lstm2b.Wh"], params["lstm2b.b"], out1[::-1]
     )
     F = np.concatenate(
         [c1f.states, c1b.states[::-1], c2f.states, c2b.states[::-1]], axis=1
     )
-    Fd = F * masks.features if masks is not None else F
+    if masks is not None:
+        F *= masks.features
     caches = {"l1f": c1f, "l1b": c1b, "l2f": c2f, "l2b": c2b}
-    return Encoding(ids=ids, boundary=Fd, caches=caches, masks=masks)
+    D = F.shape[1]
+    heads = {
+        head: [
+            F @ params[f"{head}.W1"][:, k * D : (k + 1) * D].T for k in range(blocks)
+        ]
+        for head, blocks in HEAD_BLOCKS.items()
+    }
+    return Encoding(ids=ids, boundary=F, heads=heads, caches=caches, masks=masks)
 
 
 def _encoder_backward(params, enc: Encoding, dF_out) -> dict:
-    """Push boundary-feature gradients back to every encoder parameter."""
+    """Push boundary-feature gradients back to every encoder parameter.
+    Each layer's cache leaves `enc` as its backward pass uses it, which
+    lowers the peak memory of training."""
     H = params["lstm1f.Wh"].shape[1]
     grads = {}
     dF = dF_out * enc.masks.features if enc.masks is not None else dF_out
@@ -303,10 +332,14 @@ def _encoder_backward(params, enc: Encoding, dF_out) -> dict:
     d2f = dF[:, 2 * H : 3 * H].copy()
     d2b = dF[:, 3 * H : 4 * H][::-1].copy()
     d_out1d_f, grads["lstm2f.Wx"], grads["lstm2f.Wh"], grads["lstm2f.b"] = (
-        _lstm_backward(params["lstm2f.Wx"], params["lstm2f.Wh"], enc.caches["l2f"], d2f)
+        _lstm_backward(
+            params["lstm2f.Wx"], params["lstm2f.Wh"], enc.caches.pop("l2f"), d2f
+        )
     )
     d_out1d_b, grads["lstm2b.Wx"], grads["lstm2b.Wh"], grads["lstm2b.b"] = (
-        _lstm_backward(params["lstm2b.Wx"], params["lstm2b.Wh"], enc.caches["l2b"], d2b)
+        _lstm_backward(
+            params["lstm2b.Wx"], params["lstm2b.Wh"], enc.caches.pop("l2b"), d2b
+        )
     )
     d_out1d = d_out1d_f + d_out1d_b[::-1]
     d_out1 = d_out1d * enc.masks.layer1 if enc.masks is not None else d_out1d
@@ -316,10 +349,10 @@ def _encoder_backward(params, enc: Encoding, dF_out) -> dict:
     d1b = dF[:, H : 2 * H][::-1].copy()
     d1b[1:] += d_out1[::-1, H:]
     dE_f, grads["lstm1f.Wx"], grads["lstm1f.Wh"], grads["lstm1f.b"] = _lstm_backward(
-        params["lstm1f.Wx"], params["lstm1f.Wh"], enc.caches["l1f"], d1f
+        params["lstm1f.Wx"], params["lstm1f.Wh"], enc.caches.pop("l1f"), d1f
     )
     dE_b, grads["lstm1b.Wx"], grads["lstm1b.Wh"], grads["lstm1b.b"] = _lstm_backward(
-        params["lstm1b.Wx"], params["lstm1b.Wh"], enc.caches["l1b"], d1b
+        params["lstm1b.Wx"], params["lstm1b.Wh"], enc.caches.pop("l1b"), d1b
     )
     dE = dE_f + dE_b[::-1]
     grads["embed"] = np.zeros_like(params["embed"])
@@ -331,60 +364,69 @@ def _encoder_backward(params, enc: Encoding, dF_out) -> dict:
 # scoring heads
 
 
-def _head_forward(params, head, x, hmask):
-    pre = params[f"{head}.W1"] @ x + params[f"{head}.b1"]
+def _head_forward(params, enc, head, positions, hmask):
+    pre = params[f"{head}.b1"]
+    for rows, p in zip(enc.heads[head], positions):
+        if p >= 0:  # the sentinel boundary -1 reads a zero vector
+            pre = pre + rows[p]
     hidden = np.maximum(pre, 0.0)
     if hmask is not None:
         hidden = hidden * hmask
     return pre, hidden
 
 
-def _scalar_score(params, head, x, hmask):
-    pre, hidden = _head_forward(params, head, x, hmask)
+def _head_backward(grads, dheads, head, cache, dhidden, hmask):
+    """Back through the ReLU layer; each read boundary's row of `dheads`
+    collects the pre-activation gradient."""
+    positions, pre, _ = cache
+    if hmask is not None:
+        dhidden = dhidden * hmask
+    dpre = dhidden * (pre > 0)
+    grads[f"{head}.b1"] += dpre
+    for drows, p in zip(dheads[head], positions):
+        if p >= 0:
+            drows[p] += dpre
+
+
+def _scalar_score(params, enc, head, positions, hmask):
+    pre, hidden = _head_forward(params, enc, head, positions, hmask)
     score = params[f"{head}.w2"] @ hidden + params[f"{head}.b2"][0]
-    return score, (x, pre, hidden)
+    return score, (positions, pre, hidden)
 
 
-def _scalar_backward(params, grads, head, cache, dscore, hmask):
-    x, pre, hidden = cache
+def _scalar_backward(params, grads, dheads, head, cache, dscore, hmask):
+    _, _, hidden = cache
     grads[f"{head}.w2"] += dscore * hidden
     grads[f"{head}.b2"][0] += dscore
-    dh = dscore * params[f"{head}.w2"]
-    if hmask is not None:
-        dh = dh * hmask
-    dpre = dh * (pre > 0)
-    grads[f"{head}.W1"] += np.outer(dpre, x)
-    grads[f"{head}.b1"] += dpre
-    return params[f"{head}.W1"].T @ dpre
+    dhidden = dscore * params[f"{head}.w2"]
+    _head_backward(grads, dheads, head, cache, dhidden, hmask)
 
 
-def _label_score(params, x, hmask):
-    pre, hidden = _head_forward(params, "label", x, hmask)
+def _label_score(params, enc, positions, hmask):
+    pre, hidden = _head_forward(params, enc, "label", positions, hmask)
     scores = params["label.W2"] @ hidden + params["label.b2"]
-    return scores, (x, pre, hidden)
+    return scores, (positions, pre, hidden)
 
 
-def _label_backward(params, grads, cache, dscores, hmask):
-    x, pre, hidden = cache
+def _label_backward(params, grads, dheads, cache, dscores, hmask):
+    _, _, hidden = cache
     grads["label.W2"] += np.outer(dscores, hidden)
     grads["label.b2"] += dscores
-    dh = params["label.W2"].T @ dscores
-    if hmask is not None:
-        dh = dh * hmask
-    dpre = dh * (pre > 0)
-    grads["label.W1"] += np.outer(dpre, x)
-    grads["label.b1"] += dpre
-    return params["label.W1"].T @ dpre
+    dhidden = dscores @ params["label.W2"]
+    _head_backward(grads, dheads, "label", cache, dhidden, hmask)
 
 
-def _gather(enc, positions):
-    return np.concatenate([enc.feature(p) for p in positions])
-
-
-def _scatter(dF, positions, dx, width):
-    for k, p in enumerate(positions):
-        if p >= 0:
-            dF[p] += dx[k * width : (k + 1) * width]
+def _projection_backward(params, grads, enc, dheads):
+    """Turn per-boundary pre-activation gradients into W1 gradients and the
+    boundary-feature gradient, one matrix product each per column block."""
+    dF = np.zeros_like(enc.boundary)
+    D = dF.shape[1]
+    for head, blocks in dheads.items():
+        for k, drows in enumerate(blocks):
+            cols = slice(k * D, (k + 1) * D)
+            grads[f"{head}.W1"][:, cols] += drows.T @ enc.boundary
+            dF += drows @ params[f"{head}.W1"][:, cols]
+    return dF
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +458,20 @@ class LabelStep:
 
 def structural_raw_scores(params, enc, step: StructuralStep):
     s_sh, cache_sh = _scalar_score(
-        params, "shift", _gather(enc, (step.left, step.right)), step.hmask_shift
+        params, enc, "shift", (step.left, step.right), step.hmask_shift
     )
     s_cb, cache_cb = _scalar_score(
         params,
+        enc,
         "combine",
-        _gather(enc, (step.below, step.left, step.right)),
+        (step.below, step.left, step.right),
         step.hmask_combine,
     )
     return np.array([s_sh, s_cb]), (cache_sh, cache_cb)
 
 
 def label_raw_scores(params, enc, step: LabelStep):
-    x = _gather(enc, (step.left, step.mid, step.right))
-    return _label_score(params, x, step.hmask)
+    return _label_score(params, enc, (step.left, step.mid, step.right), step.hmask)
 
 
 def _masked_log_probs(scores, legal):
@@ -445,26 +487,33 @@ def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
     """Summed negative log-likelihood of the per-step targets, with exact
     gradients for every parameter.  Raises on a non-finite loss."""
     enc = encode(params, ids, masks)
-    grads = zero_gradients(params)
-    dF = np.zeros_like(enc.boundary)
+    # Encoder gradients arrive whole from _encoder_backward; zero arrays for
+    # them would only raise the peak memory.
+    grads = zero_gradients(
+        {k: v for k, v in params.items() if k.partition(".")[0] in HEAD_BLOCKS}
+    )
+    dheads = {
+        head: [np.zeros_like(rows) for rows in blocks]
+        for head, blocks in enc.heads.items()
+    }
     loss = 0.0
     label_dim = params["label.b2"].shape[0]
 
     for index, step in enumerate(steps):
         try:
-            loss = _step_loss(params, enc, grads, dF, loss, label_dim, step)
+            loss = _step_loss(params, enc, grads, dheads, loss, label_dim, step)
         except ModelError as err:
             raise ModelError(f"step {index} ({step!r}): {err}") from None
         if not np.isfinite(loss):
             raise ModelError(f"non-finite loss at step {index}: {step!r}")
 
-    enc_grads = _encoder_backward(params, enc, dF)
-    for key, value in enc_grads.items():
-        grads[key] += value
-    return float(loss), grads
+    dF = _projection_backward(params, grads, enc, dheads)
+    del dheads, enc.heads  # free the projected rows before the encoder's backward
+    grads.update(_encoder_backward(params, enc, dF))
+    return float(loss), {key: grads[key] for key in params}
 
 
-def _step_loss(params, enc, grads, dF, loss, label_dim, step):
+def _step_loss(params, enc, grads, dheads, loss, label_dim, step):
     if isinstance(step, StructuralStep):
         scores, caches = structural_raw_scores(params, enc, step)
         legal = np.array([step.can_shift, step.can_combine])
@@ -473,16 +522,14 @@ def _step_loss(params, enc, grads, dF, loss, label_dim, step):
         dscores = np.where(legal, np.exp(logp), 0.0)
         dscores[step.target] -= 1.0
         if dscores[0] != 0.0:
-            dx = _scalar_backward(
-                params, grads, "shift", caches[0], dscores[0], step.hmask_shift
+            _scalar_backward(
+                params, grads, dheads, "shift", caches[0], dscores[0],
+                step.hmask_shift,
             )
-            _scatter(dF, (step.left, step.right), dx, enc.boundary.shape[1])
         if dscores[1] != 0.0:
-            dx = _scalar_backward(
-                params, grads, "combine", caches[1], dscores[1], step.hmask_combine
-            )
-            _scatter(
-                dF, (step.below, step.left, step.right), dx, enc.boundary.shape[1]
+            _scalar_backward(
+                params, grads, dheads, "combine", caches[1], dscores[1],
+                step.hmask_combine,
             )
     else:
         scores, cache = label_raw_scores(params, enc, step)
@@ -497,8 +544,7 @@ def _step_loss(params, enc, grads, dF, loss, label_dim, step):
         loss -= logp[step.target]
         dscores = np.where(legal, np.exp(logp), 0.0)
         dscores[step.target] -= 1.0
-        dx = _label_backward(params, grads, cache, dscores, step.hmask)
-        _scatter(dF, (step.left, step.mid, step.right), dx, enc.boundary.shape[1])
+        _label_backward(params, grads, dheads, cache, dscores, step.hmask)
     return loss
 
 
@@ -590,7 +636,7 @@ def save_checkpoint(path, params, vocab, config) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (params, vocab, config); validates shape consistency."""
+    """Returns (params, vocab, config); validates shapes and finiteness."""
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data:
             raise ModelError(f"{path}: not a checkpoint (missing metadata)")
@@ -600,16 +646,16 @@ def load_checkpoint(path):
         raise ModelError(f"unsupported checkpoint version {meta.get('version')!r}")
     config = ModelConfig(**meta["config"])
     vocab = Vocabulary.from_dict(meta["vocabulary"])
-    rng = np.random.default_rng(0)
-    expected = init_parameters(vocab, config, rng)
+    expected = parameter_shapes(vocab, config)
     if set(expected) != set(params):
         missing = sorted(set(expected) ^ set(params))
         raise ModelError(f"checkpoint parameter names do not match: {missing}")
-    for key, array in expected.items():
-        if params[key].shape != array.shape:
+    for key, shape in expected.items():
+        array = params[key] = np.asarray(params[key], dtype=np.float64)
+        if array.shape != shape:
             raise ModelError(
-                f"checkpoint {key} has shape {params[key].shape}, "
-                f"expected {array.shape}"
+                f"checkpoint {key} has shape {array.shape}, expected {shape}"
             )
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+        if not np.isfinite(array).all():
+            raise ModelError(f"checkpoint {key} holds non-finite values")
     return params, vocab, config

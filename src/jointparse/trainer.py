@@ -279,7 +279,8 @@ def _label_move(
 
 
 class Adam:
-    """Adaptive-moment gradient descent with global norm clipping."""
+    """Adaptive-moment gradient descent with global norm clipping; clipping
+    scales the passed gradients in place."""
 
     def __init__(self, params, learning_rate=1e-3, clip_norm=5.0,
                  beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -296,7 +297,8 @@ class Adam:
             total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             if total > self.clip_norm:
                 scale = self.clip_norm / total
-                grads = {k: g * scale for k, g in grads.items()}
+                for grad in grads.values():
+                    grad *= scale
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
         for key, grad in grads.items():

@@ -185,7 +185,7 @@ def relative_error(a, b) -> float:
 
 
 def finite_difference_check(
-    params, ids, steps, keys=None, coords_per_array=6, h=1e-4, seed=0
+    params, ids, steps, keys=None, coords_per_array=6, h=1e-4, seed=0, masks=None
 ):
     """Central finite differences against the analytic gradient.
 
@@ -198,12 +198,12 @@ def finite_difference_check(
     (key, index, analytic, numeric, error) for every checked coordinate.
     """
     rng = np.random.default_rng(seed)
-    _, grads = loss_and_gradients(params, ids, steps)
+    _, grads = loss_and_gradients(params, ids, steps, masks)
 
     def loss_at(array, index, value):
         original = array[index]
         array[index] = value
-        loss, _ = loss_and_gradients(params, ids, steps)
+        loss, _ = loss_and_gradients(params, ids, steps, masks)
         array[index] = original
         return loss
 
@@ -234,8 +234,8 @@ def finite_difference_check(
     return worst, rows, skipped
 
 
-def _oracle_examples(n_docs, seed):
-    """Training examples from oracle-following rollouts (no dropout)."""
+def _oracle_examples(n_docs, seed, dropout=0.0):
+    """Training examples from oracle-following rollouts."""
     trees = [
         generate_synthetic(f"gradcheck/{seed}/{k}", max_tokens=10, max_edus=4)
         for k in range(n_docs)
@@ -244,7 +244,7 @@ def _oracle_examples(n_docs, seed):
     config = ModelConfig(word_dim=7, hidden_dim=9, scorer_hidden=11)
     params = init_parameters(vocab, config, np.random.default_rng(seed))
     train_config = trainer.TrainConfig(
-        beta=1.0, dropout=0.0, unk_replace=0.0, dev_size=0, seed=seed
+        beta=1.0, dropout=dropout, unk_replace=0.0, dev_size=0, seed=seed
     )
     rng = np.random.default_rng(seed + 1)
     examples = []
@@ -269,6 +269,7 @@ def run_gradcheck_suite(
             example.steps,
             coords_per_array=coords_per_array,
             seed=seed + doc_index,
+            masks=example.masks,
         )
         worst = max(worst, worst_doc)
         skipped += doc_skipped

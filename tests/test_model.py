@@ -9,13 +9,17 @@ from jointparse.model import (
     StructuralStep,
     Vocabulary,
     encode,
+    _sigmoid,
     init_parameters,
+    label_raw_scores,
     load_checkpoint,
     loss_and_gradients,
     make_dropout_masks,
+    sample_hidden_mask,
     save_checkpoint,
     score_labels,
     score_structural,
+    structural_raw_scores,
     zero_gradients,
 )
 from jointparse.synthetic import generate_treebank
@@ -49,6 +53,49 @@ class TestVocabulary:
             vocab.chain_id("NOT+A+CHAIN")
 
 
+def _reference_boundary(params, ids, masks):
+    """Boundary features computed one token and one matrix-vector product
+    at a time, as a straightforward reading of the architecture."""
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def run(name, xs):
+        Wx, Wh, b = (params[f"{name}.{part}"] for part in ("Wx", "Wh", "b"))
+        H = Wh.shape[1]
+        h, c = np.zeros(H), np.zeros(H)
+        states = [h]
+        for x in xs:
+            z = Wx @ x + Wh @ h + b
+            i, f, o = sigmoid(z[:H]), sigmoid(z[H : 2 * H]), sigmoid(z[2 * H : 3 * H])
+            c = f * c + i * np.tanh(z[3 * H :])
+            h = o * np.tanh(c)
+            states.append(h)
+        return np.array(states)
+
+    E = params["embed"][ids]
+    l1f, l1b = run("lstm1f", E), run("lstm1b", E[::-1])[::-1]
+    out1 = np.concatenate([l1f[1:], l1b[:-1]], axis=1)
+    if masks is not None:
+        out1 = out1 * masks.layer1
+    l2f, l2b = run("lstm2f", out1), run("lstm2b", out1[::-1])[::-1]
+    F = np.concatenate([l1f, l1b, l2f, l2b], axis=1)
+    return F * masks.features if masks is not None else F
+
+
+def _reference_score(params, boundary, head, positions, hmask):
+    """A head applied to the concatenated boundary vectors; the sentinel
+    boundary -1 reads zeros."""
+    zero = np.zeros(boundary.shape[1])
+    x = np.concatenate([boundary[p] if p >= 0 else zero for p in positions])
+    hidden = np.maximum(params[f"{head}.W1"] @ x + params[f"{head}.b1"], 0.0)
+    if hmask is not None:
+        hidden = hidden * hmask
+    if head == "label":
+        return params["label.W2"] @ hidden + params["label.b2"]
+    return params[f"{head}.w2"] @ hidden + params[f"{head}.b2"][0]
+
+
 class TestEncode:
     def test_boundary_dimension(self, setup):
         _, _, config, params = setup
@@ -74,15 +121,69 @@ class TestEncode:
         deltas = np.linalg.norm(base - bump, axis=1)
         assert np.all(deltas > 0)
 
+    def test_sigmoid_matches_two_branch_form(self):
+        # The overflow-safe form evaluated branch by branch on masked copies.
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            rng.normal(size=999) * scale for scale in (0.1, 1.0, 10.0, 100.0)
+        ] + [np.array([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, np.inf, -np.inf])])
+        assert np.array_equal(_sigmoid(x), two_branch(x))
+
     def test_empty_document_rejected(self, setup):
         _, _, _, params = setup
         with pytest.raises(ModelError):
             encode(params, [])
 
-    def test_sentinel_feature_is_zero(self, setup):
-        _, _, _, params = setup
-        enc = encode(params, [1, 2])
-        assert np.array_equal(enc.feature(-1), np.zeros(enc.boundary.shape[1]))
+    def test_factored_scoring_matches_per_step_reference(self, setup):
+        _, vocab, config, params = setup
+        words = vocab.words[1:8]
+        ids = [vocab.token_id(w) for w in words]
+        scorer = SpanScorer(params, vocab)
+        scorer.prepare(words)
+        rng = np.random.default_rng(5)
+        for rate in (0.0, 0.5):
+            masks = make_dropout_masks(len(ids), config, rate, rng)
+            enc = encode(params, ids, masks)
+            boundary = _reference_boundary(params, ids, masks)
+            np.testing.assert_allclose(enc.boundary, boundary, rtol=0, atol=1e-10)
+
+            def hmask():
+                return sample_hidden_mask(config, rate, rng)
+
+            for below, left, right in [(-1, 0, 1), (-1, 0, 4), (0, 2, 3), (1, 5, 7)]:
+                step = StructuralStep(
+                    below, left, right, True, True, 0, hmask(), hmask()
+                )
+                expected = [
+                    _reference_score(params, boundary, "shift", (left, right),
+                                     step.hmask_shift),
+                    _reference_score(params, boundary, "combine", (below, left, right),
+                                     step.hmask_combine),
+                ]
+                got = structural_raw_scores(params, enc, step)[0]
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+                if masks is None:
+                    got = scorer.structural(below, left, right)
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+            # (i, i, i+1) is a width-1 span: its midpoint is its left boundary.
+            for left, mid, right in [(0, 0, 1), (6, 6, 7), (0, 3, 7), (2, 4, 5)]:
+                step = LabelStep(left, mid, right, False, 0, hmask=hmask())
+                expected = _reference_score(
+                    params, boundary, "label", (left, mid, right), step.hmask
+                )
+                got = label_raw_scores(params, enc, step)[0]
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+                if masks is None:
+                    got = scorer.labels(left, mid, right)
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
 class TestScoring:
@@ -174,10 +275,21 @@ class TestCheckpoint:
     def test_shape_mismatch_rejected(self, setup, tmp_path):
         _, vocab, config, params = setup
         path = tmp_path / "model.ckpt"
+        for key in ("label.b2", "lstm2f.Wx"):
+            bad = {k: v.copy() for k, v in params.items()}
+            bad[key] = np.zeros((bad[key].shape[0] + 1,) + bad[key].shape[1:])
+            save_checkpoint(path, bad, vocab, config)
+            with pytest.raises(ModelError, match=f"{key} has shape"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, setup, tmp_path, value):
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
         bad = {k: v.copy() for k, v in params.items()}
-        bad["label.b2"] = np.zeros(bad["label.b2"].shape[0] + 1)
+        bad["combine.W1"][3, 1] = value
         save_checkpoint(path, bad, vocab, config)
-        with pytest.raises(ModelError, match="shape"):
+        with pytest.raises(ModelError, match="combine.W1.*non-finite"):
             load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):

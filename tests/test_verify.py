@@ -1,3 +1,4 @@
+from jointparse.model import LabelStep
 from jointparse.transition import axiom, parse_actions, replay
 from jointparse.verify import (
     CompletionSearch,
@@ -58,6 +59,27 @@ def test_gradcheck_suite_small():
     report = run_gradcheck_suite(n_docs=2, coords_per_array=3, seed=11)
     assert report.ok
     assert report.details["worst_error"] <= 1e-4
+
+
+def test_gradcheck_with_dropout_masks():
+    # Recurrent-output masks and per-step scorer-hidden masks both on.
+    from jointparse.verify import _oracle_examples
+
+    params, examples = _oracle_examples(2, seed=13, dropout=0.5)
+    for doc_index, example in enumerate(examples):
+        assert example.masks is not None
+        assert all(
+            step.hmask is not None
+            if isinstance(step, LabelStep)
+            else step.hmask_shift is not None and step.hmask_combine is not None
+            for step in example.steps
+        )
+        worst, rows, _skipped = finite_difference_check(
+            params, example.ids, example.steps, coords_per_array=4,
+            seed=doc_index, masks=example.masks,
+        )
+        assert rows
+        assert worst <= 1e-4
 
 
 def test_finite_difference_flags_wrong_gradient(monkeypatch):
