@@ -36,8 +36,6 @@ from .model import (
     load_checkpoint,
     loss_and_gradients,
     save_checkpoint,
-    score_labels,
-    score_structural,
 )
 from .synthetic import generate_synthetic, generate_treebank
 from .trainer import TrainConfig, TrainingDiverged, rollout, train

@@ -53,7 +53,6 @@ RUN_CONFIG_SCHEMA = {
         "mode",
         "unk_replace",
     },
-    "eval": {"histogram_bucket"},
 }
 
 
@@ -246,7 +245,6 @@ def cmd_eval(args) -> int:
     gold = serialize.read_treebank(args.gold)
     pred = serialize.read_treebank(args.pred)
     report = evaluate.corpus_report(gold, pred)
-    report["mode"] = args.mode
     print(json.dumps(report, indent=2))
     return EXIT_OK
 
@@ -322,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against gold trees")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--mode", choices=("end2end", "goldedu"), default="end2end")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run the oracle and gradient suites")

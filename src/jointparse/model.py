@@ -274,7 +274,7 @@ def sample_hidden_mask(config, rate, rng):
 @dataclass
 class Encoding:
     ids: np.ndarray
-    boundary: np.ndarray          # (n+1, 4H) after feature dropout
+    boundary: np.ndarray | None   # (n+1, 4H) after feature dropout
     # head -> boundary @ W1-block.T per column block, each (n+1, scorer_hidden)
     heads: dict = field(repr=False, default_factory=dict)
     caches: dict = field(repr=False, default_factory=dict)
@@ -549,43 +549,7 @@ def _step_loss(params, enc, grads, dheads, loss, label_dim, step):
 
 
 # ---------------------------------------------------------------------------
-# spec-shaped scoring surfaces
-
-
-def score_structural(params, enc, state):
-    """Masked log-probabilities over (shift, combine) for a structural state."""
-    from .transition import COMBINE_ACTION, SHIFT_ACTION, legal_actions
-
-    legal = legal_actions(state)
-    below = state.boundaries[-3] if len(state.boundaries) >= 4 else -1
-    left, right = state.top
-    step = StructuralStep(
-        below=below,
-        left=left,
-        right=right,
-        can_shift=SHIFT_ACTION in legal,
-        can_combine=COMBINE_ACTION in legal,
-        target=0,
-    )
-    scores, _ = structural_raw_scores(params, enc, step)
-    return _masked_log_probs(scores, np.array([step.can_shift, step.can_combine]))
-
-
-def score_labels(params, enc, state):
-    """Masked log-probabilities over (no-label, chain 1..K) for a label state."""
-    left, right = state.top
-    step = LabelStep(
-        left=left,
-        mid=state.midpoint,
-        right=right,
-        mask_nolabel=(left, right) == (0, enc.n),
-        target=0,
-    )
-    scores, _ = label_raw_scores(params, enc, step)
-    legal = np.ones(params["label.b2"].shape[0], dtype=bool)
-    if step.mask_nolabel:
-        legal[0] = False
-    return _masked_log_probs(scores, legal)
+# inference
 
 
 class SpanScorer:
@@ -598,7 +562,11 @@ class SpanScorer:
 
     def prepare(self, words):
         ids = [self.vocab.token_id(w) for w in words]
+        self.enc = None  # free the previous document before encoding this one
         self.enc = encode(self.params, ids)
+        # Scoring reads only the projected head rows.
+        self.enc.caches.clear()
+        self.enc.boundary = None
 
     def structural(self, below, left, right):
         step = StructuralStep(

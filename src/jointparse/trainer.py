@@ -1,11 +1,16 @@
 """Training with exploration against the dynamic oracle.
 
-Each document is rolled out step by step: the oracle supplies the set of
-loss-free actions, the model's best oracle action becomes the training
-target, and the action actually taken is the target with probability beta
-or the model's own choice otherwise, so the scorer also sees states its
-mistakes would lead to.  Updates are per document; the best-dev checkpoint
-is retained.
+Each document is rolled out step by step on the transition driver
+(`transition.derive`), over tokens or, in gold-EDU mode, over the gold
+EDUs, exactly as greedy decoding runs.  `rollout` supplies the two
+choosers.  At every step the oracle supplies the set of loss-free
+actions, the model's best oracle action becomes the training target, and
+the chooser returns the target with probability beta or the model's own
+argmax over the legal actions otherwise, so the scorer also sees states
+its mistakes would lead to.  The random draws per step come in a fixed
+order: the step's hidden dropout masks (shift then combine, or the label
+mask), then the beta draw.  Updates are per document; the best-dev
+checkpoint is retained.
 """
 
 import os
@@ -31,25 +36,14 @@ from .model import (
     structural_raw_scores,
 )
 from .transition import (
-    COMBINE,
-    COMBINE_ACTION,
-    SHIFT,
-    SHIFT_ACTION,
-    NO_LABEL_ACTION,
-    apply_action,
-    axiom,
+    STRUCTURAL_ACTIONS,
+    derive,
     dynamic_oracle,
-    is_root_span,
-    is_terminal,
-    label_action,
     parse_greedy,
+    slot_action,
+    unit_bounds,
 )
-from .trees import (
-    EDU_PLACEHOLDER,
-    extract_edus,
-    is_discourse_chain,
-    labeled_spans,
-)
+from .trees import extract_edus, is_discourse_chain, labeled_spans
 
 END_TO_END = "end2end"
 GOLD_EDU = "goldedu"
@@ -120,158 +114,69 @@ def _token_ids(gold, vocab, config, rng):
 
 
 def rollout(gold, params, vocab, model_config, config, rng):
-    """One pass over a document; returns (TrainingExample, [RolloutStep])."""
-    if config.mode == GOLD_EDU:
-        return _rollout_units(gold, params, vocab, model_config, config, rng)
-    return _rollout_tokens(gold, params, vocab, model_config, config, rng)
+    """One pass over a document; returns (TrainingExample, [RolloutStep]).
 
-
-def _rollout_tokens(gold, params, vocab, model_config, config, rng):
+    The trace's states are over units: tokens, or EDUs in gold-EDU mode,
+    where only discourse spans are targets."""
     n = len(gold.tokens)
-    gold_map = {(s.start, s.end): s.chain for s in labeled_spans(gold)}
+    edus = extract_edus(gold) if config.mode == GOLD_EDU else None
+    unit_of = {b: u for u, b in enumerate(unit_bounds(n, edus))}
+    gold_map = {
+        (unit_of[span.start], unit_of[span.end]): span.chain
+        for span in labeled_spans(gold)
+        if edus is None or is_discourse_chain(span.chain)
+    }
     ids = _token_ids(gold, vocab, config, rng)
     masks = make_dropout_masks(n, model_config, config.dropout, rng)
     enc = encode(params, ids, masks)
-
-    state = axiom(n)
+    chains = vocab.inventory()
     steps, trace = [], []
-    while not is_terminal(state):
-        if state.midpoint is None:
-            state = _structural_move(
-                state, None, params, enc, vocab, model_config, config, rng,
-                gold_map, steps, trace,
-            )
-        else:
-            state = _label_move(
-                state, None, params, enc, vocab, model_config, config, rng,
-                gold_map, None, steps, trace,
-            )
+
+    def hidden_mask():
+        return sample_hidden_mask(model_config, config.dropout, rng)
+
+    def follow(scores, target):
+        # The oracle's target with probability beta, else the model's choice.
+        return target if rng.random() < config.beta else int(np.argmax(scores))
+
+    def structural(state, below, left, right, legal):
+        step = StructuralStep(
+            below, left, right, *legal, target=0,
+            hmask_shift=hidden_mask(), hmask_combine=hidden_mask(),
+        )
+        scores, _ = structural_raw_scores(params, enc, step)
+        scores = np.where(legal, scores, -np.inf)
+        oracle = dynamic_oracle(state, gold_map)
+        step.target = max(
+            sorted(STRUCTURAL_ACTIONS.index(a) for a in oracle),
+            key=lambda k: scores[k],
+        )
+        steps.append(step)
+        followed = follow(scores, step.target)
+        trace.append(RolloutStep(
+            state, STRUCTURAL_ACTIONS[step.target], STRUCTURAL_ACTIONS[followed]
+        ))
+        return followed
+
+    def label(state, left, mid, right, legal):
+        step = LabelStep(
+            left, mid, right, mask_nolabel=not legal[0], target=0,
+            allowed=legal, hmask=hidden_mask(),
+        )
+        gold_chain = gold_map.get(state.top)
+        step.target = vocab.chain_id(gold_chain) if gold_chain is not None else 0
+        if step.target == 0 and step.mask_nolabel:
+            raise TrainingDiverged("gold tree has no label for the full-document span")
+        steps.append(step)
+        scores, _ = label_raw_scores(params, enc, step)
+        followed = follow(np.where(legal, scores, -np.inf), step.target)
+        trace.append(RolloutStep(
+            state, slot_action(chains, step.target), slot_action(chains, followed)
+        ))
+        return followed
+
+    derive(n, chains, structural, label, edus)
     return TrainingExample(ids, steps, masks), trace
-
-
-def _rollout_units(gold, params, vocab, model_config, config, rng):
-    """Gold-segmentation rollout: the same machinery over EDU-sized units."""
-    n = len(gold.tokens)
-    edus = extract_edus(gold)
-    bounds = [span.start for span in edus] + [n]
-    units = len(edus)
-    unit_of = {b: u for u, b in enumerate(bounds)}
-    gold_map = {}
-    for span in labeled_spans(gold):
-        if is_discourse_chain(span.chain):
-            gold_map[(unit_of[span.start], unit_of[span.end])] = span.chain
-
-    ids = _token_ids(gold, vocab, config, rng)
-    masks = make_dropout_masks(n, model_config, config.dropout, rng)
-    enc = encode(params, ids, masks)
-    allowed = np.array(
-        [True] + [is_discourse_chain(c) for c in vocab.chains], dtype=bool
-    )
-
-    def to_tokens(u):
-        return -1 if u < 0 else bounds[u]
-
-    state = axiom(units)
-    steps, trace = [], []
-    while not is_terminal(state):
-        if state.midpoint is None:
-            state = _structural_move(
-                state, to_tokens, params, enc, vocab, model_config, config, rng,
-                gold_map, steps, trace,
-            )
-        elif state.top[1] - state.top[0] == 1:
-            # A freshly shifted EDU: its internal structure is not predicted.
-            state = apply_action(state, label_action(EDU_PLACEHOLDER))
-        else:
-            state = _label_move(
-                state, to_tokens, params, enc, vocab, model_config, config, rng,
-                gold_map, allowed, steps, trace,
-            )
-    return TrainingExample(ids, steps, masks), trace
-
-
-def _structural_move(
-    state, to_tokens, params, enc, vocab, model_config, config, rng,
-    gold_map, steps, trace,
-):
-    i, j = state.top
-    can_shift = j < state.n
-    can_combine = len(state.boundaries) >= 4
-    below = state.boundaries[-3] if can_combine else -1
-    if to_tokens is not None:
-        below_t, i_t, j_t = to_tokens(below), to_tokens(i), to_tokens(j)
-    else:
-        below_t, i_t, j_t = below, i, j
-    step = StructuralStep(
-        below=below_t,
-        left=i_t,
-        right=j_t,
-        can_shift=can_shift,
-        can_combine=can_combine,
-        target=0,
-        hmask_shift=sample_hidden_mask(model_config, config.dropout, rng),
-        hmask_combine=sample_hidden_mask(model_config, config.dropout, rng),
-    )
-    scores, _ = structural_raw_scores(params, enc, step)
-    scores = np.where([can_shift, can_combine], scores, -np.inf)
-
-    oracle = dynamic_oracle(state, gold_map)
-    oracle_ids = sorted(0 if a.kind == SHIFT else 1 for a in oracle)
-    target = max(oracle_ids, key=lambda k: scores[k])
-    step.target = target
-    steps.append(step)
-
-    if rng.random() < config.beta:
-        followed = target
-    else:
-        followed = int(np.argmax(scores))
-    target_action = SHIFT_ACTION if target == 0 else COMBINE_ACTION
-    action = SHIFT_ACTION if followed == 0 else COMBINE_ACTION
-    trace.append(RolloutStep(state, target_action, action))
-    return apply_action(state, action)
-
-
-def _label_move(
-    state, to_tokens, params, enc, vocab, model_config, config, rng,
-    gold_map, allowed, steps, trace,
-):
-    i, j = state.top
-    k = state.midpoint
-    if to_tokens is not None:
-        i_t, k_t, j_t = to_tokens(i), to_tokens(k), to_tokens(j)
-    else:
-        i_t, k_t, j_t = i, k, j
-    step = LabelStep(
-        left=i_t,
-        mid=k_t,
-        right=j_t,
-        mask_nolabel=is_root_span(state),
-        target=0,
-        allowed=allowed,
-        hmask=sample_hidden_mask(model_config, config.dropout, rng),
-    )
-    gold_chain = gold_map.get((i, j))
-    step.target = vocab.chain_id(gold_chain) if gold_chain is not None else 0
-    if step.target == 0 and step.mask_nolabel:
-        raise TrainingDiverged("gold tree has no label for the full-document span")
-    steps.append(step)
-
-    scores, _ = label_raw_scores(params, enc, step)
-    legal = allowed.copy() if allowed is not None else np.ones(len(scores), dtype=bool)
-    if step.mask_nolabel:
-        legal[0] = False
-    scores = np.where(legal, scores, -np.inf)
-
-    def to_action(index):
-        return NO_LABEL_ACTION if index == 0 else label_action(vocab.chains[index - 1])
-
-    if rng.random() < config.beta:
-        followed = step.target
-    else:
-        followed = int(np.argmax(scores))
-    action = to_action(followed)
-    trace.append(RolloutStep(state, to_action(step.target), action))
-    return apply_action(state, action)
 
 
 # ---------------------------------------------------------------------------

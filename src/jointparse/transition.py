@@ -13,6 +13,24 @@ well-defined.
 Terminal states have boundaries ``[-1, 0, n]`` and no midpoint.  The final
 labeling of the full span ``(0, n)`` must pick a real label (no-label is
 masked there), so every finished derivation yields a rooted tree.
+
+One driver, `derive`, runs every derivation: greedy decoding
+(`parse_greedy`) and the trainer's oracle rollouts.  It runs over units,
+which are the tokens, or the EDUs when gold EDUs are given; shifting then
+advances a whole EDU, whose label is fixed to a placeholder without a
+choice, and only discourse chains may label the spans above EDUs.  The
+driver owns legality and hands each decision to a chooser callback:
+
+* ``choose_structural(state, below, left, right, legal)`` for shift or
+  combine, where ``legal`` is the pair (can shift, can combine) and the
+  return value is 0 for shift, 1 for combine;
+* ``choose_label(state, left, mid, right, legal)`` for labeling, where
+  ``legal`` is a bool mask over the inventory's slots (no-label first) and
+  the return value is a slot.
+
+``state`` is the machine's own state over units; the boundaries are token
+positions, with -1 for the sentinel.  A chooser may raise to abort the
+derivation.
 """
 
 from dataclasses import dataclass, field, replace
@@ -95,7 +113,6 @@ class ParserState:
     boundaries: tuple = (-1, 0)
     midpoint: int | None = None
     labeled: frozenset = field(default_factory=frozenset)
-    score: float = 0.0
 
     @property
     def top(self):
@@ -148,21 +165,18 @@ def legal_actions(state: ParserState, chains=()) -> set:
     return out
 
 
-def apply_action(state: ParserState, action: Action, score_delta: float = 0.0):
+def apply_action(state: ParserState, action: Action):
     """The successor state; raises on actions illegal in this state."""
     if is_terminal(state):
         raise TransitionError(f"cannot {action.kind} in a terminal state")
     structural = state.midpoint is None
-    score = state.score + score_delta
     if action.kind == SHIFT:
         if not structural:
             raise TransitionError("shift during a labeling phase")
         j = state.frontier
         if j >= state.n:
             raise TransitionError("shift past the end of the document")
-        return replace(
-            state, boundaries=state.boundaries + (j + 1,), midpoint=j, score=score
-        )
+        return replace(state, boundaries=state.boundaries + (j + 1,), midpoint=j)
     if action.kind == COMBINE:
         if not structural:
             raise TransitionError("combine during a labeling phase")
@@ -173,7 +187,6 @@ def apply_action(state: ParserState, action: Action, score_delta: float = 0.0):
             state,
             boundaries=state.boundaries[:-2] + state.boundaries[-1:],
             midpoint=k,
-            score=score,
         )
     if structural:
         raise TransitionError(f"{action.kind} during a structural phase")
@@ -182,13 +195,11 @@ def apply_action(state: ParserState, action: Action, score_delta: float = 0.0):
             raise TransitionError("label action without a chain")
         i, j = state.top
         span = LabeledSpan(i, j, action.chain)
-        return replace(
-            state, midpoint=None, labeled=state.labeled | {span}, score=score
-        )
+        return replace(state, midpoint=None, labeled=state.labeled | {span})
     if action.kind == NO_LABEL:
         if is_root_span(state):
             raise TransitionError("the full-document span must be labeled")
-        return replace(state, midpoint=None, score=score)
+        return replace(state, midpoint=None)
     raise TransitionError(f"unknown action kind {action.kind!r}")
 
 
@@ -390,7 +401,63 @@ def reconstruct(labeled, tokens) -> JointTree:
 
 
 # ---------------------------------------------------------------------------
-# greedy decoding
+# the derivation driver
+
+STRUCTURAL_ACTIONS = (SHIFT_ACTION, COMBINE_ACTION)
+
+
+def slot_action(chains, slot: int) -> Action:
+    """The labeling action for score slot `slot` of a label inventory."""
+    return NO_LABEL_ACTION if slot == 0 else label_action(chains[slot])
+
+
+def unit_bounds(n: int, edu_spans=None) -> list:
+    """Token position of each unit boundary: every token is a unit, or with
+    `edu_spans`, which must tile the n tokens, every EDU is."""
+    if edu_spans is None:
+        return list(range(n + 1))
+    edu_spans = list(edu_spans)
+    if not spans_tile(edu_spans, n):
+        raise TransitionError("EDU spans do not tile the document")
+    return [span.start for span in edu_spans] + [n]
+
+
+def derive(n, chains, choose_structural, choose_label, edu_spans=None) -> set:
+    """Run one derivation of an n-token document from the axiom to a
+    terminal state and return its labeled spans in token positions.
+
+    `chains` is the label inventory, no-label first.  Every step but an
+    EDU's placeholder label goes to a chooser (see the module docstring),
+    whose returned slot is applied.
+    """
+    if chains[0] is not None:
+        raise TransitionError("label inventory must start with the no-label slot")
+    bounds = unit_bounds(n, edu_spans)
+    allowed = np.array(
+        [edu_spans is None or c is None or is_discourse_chain(c) for c in chains]
+    )
+
+    def at(u):  # token position of unit boundary u; the sentinel stays -1
+        return -1 if u < 0 else bounds[u]
+
+    state = axiom(len(bounds) - 1)
+    while not is_terminal(state):
+        i, j = state.top
+        if state.midpoint is None:
+            legal = (j < state.n, len(state.boundaries) >= 4)
+            below = at(state.boundaries[-3]) if legal[1] else -1
+            pick = choose_structural(state, below, at(i), at(j), legal)
+            action = STRUCTURAL_ACTIONS[pick]
+        elif edu_spans is not None and j - i == 1:
+            # EDU-internal structure is not predicted in gold-EDU mode.
+            action = label_action(EDU_PLACEHOLDER)
+        else:
+            legal = allowed.copy()
+            legal[0] = not is_root_span(state)
+            pick = choose_label(state, at(i), at(state.midpoint), at(j), legal)
+            action = slot_action(chains, pick)
+        state = apply_action(state, action)
+    return {LabeledSpan(at(s.start), at(s.end), s.chain) for s in state.labeled}
 
 
 def parse_greedy(scorer, words, edu_spans=None) -> JointTree:
@@ -407,70 +474,27 @@ def parse_greedy(scorer, words, edu_spans=None) -> JointTree:
     """
     scorer.prepare(words)
     chains = scorer.inventory()
-    if chains[0] is not None:
-        raise TransitionError("label inventory must start with the no-label slot")
 
-    if edu_spans is None:
-        unit_bounds = list(range(len(words) + 1))
-        allowed = np.ones(len(chains), dtype=bool)
-    else:
-        edu_spans = list(edu_spans)
-        if not spans_tile(edu_spans, len(words)):
-            raise TransitionError("EDU spans do not tile the document")
-        unit_bounds = [span.start for span in edu_spans] + [len(words)]
-        allowed = np.array(
-            [c is None or is_discourse_chain(c) for c in chains], dtype=bool
-        )
+    def structural(state, below, left, right, legal):
+        return _best(scorer.structural(below, left, right), legal)
 
-    def to_tokens(u):
-        return -1 if u < 0 else unit_bounds[u]
-
-    units = len(unit_bounds) - 1
-    state = axiom(units)
-    while not is_terminal(state):
-        if state.midpoint is None:
-            i, j = state.top
-            can_shift = j < units
-            can_combine = len(state.boundaries) >= 4
-            raw = scorer.structural(
-                to_tokens(state.boundaries[-3]) if can_combine else -1,
-                to_tokens(i),
-                to_tokens(j),
+    def label(state, left, mid, right, legal):
+        raw = scorer.labels(left, mid, right)
+        if len(raw) != len(chains):
+            raise TransitionError(
+                f"scorer emits {len(raw)} label scores for an inventory "
+                f"of {len(chains)}"
             )
-            masked = np.where([can_shift, can_combine], raw, -np.inf)
-            logp = masked - _logsumexp(masked)
-            action = SHIFT_ACTION if int(np.argmax(logp)) == 0 else COMBINE_ACTION
-            state = apply_action(state, action, float(np.max(logp)))
-        else:
-            i, j = state.top
-            if edu_spans is not None and j - i == 1:
-                # EDU-internal structure is not predicted in gold-EDU mode.
-                state = apply_action(state, label_action(EDU_PLACEHOLDER))
-                continue
-            raw = scorer.labels(to_tokens(i), to_tokens(state.midpoint), to_tokens(j))
-            if len(raw) != len(chains):
-                raise TransitionError(
-                    f"scorer emits {len(raw)} label scores for an inventory "
-                    f"of {len(chains)}"
-                )
-            masked = np.where(allowed, raw, -np.inf)
-            if is_root_span(state):
-                masked[0] = -np.inf
-            logp = masked - _logsumexp(masked)
-            pick = int(np.argmax(logp))
-            action = NO_LABEL_ACTION if pick == 0 else label_action(chains[pick])
-            state = apply_action(state, action, float(logp[pick]))
+        return _best(raw, legal)
 
-    spans = state.labeled
-    if edu_spans is not None:
-        spans = {
-            LabeledSpan(to_tokens(s.start), to_tokens(s.end), s.chain) for s in spans
-        }
+    spans = derive(len(words), chains, structural, label, edu_spans)
     return reconstruct(spans, list(words))
 
 
-def _logsumexp(values):
-    top = np.max(values)
-    if not np.isfinite(top):
+def _best(raw, legal) -> int:
+    """The slot of the highest legal score, which must be finite."""
+    masked = np.where(legal, raw, -np.inf)
+    pick = int(np.argmax(masked))
+    if not np.isfinite(masked[pick]):
         raise TransitionError("no legal action has finite score")
-    return top + np.log(np.sum(np.exp(values - top)))
+    return pick

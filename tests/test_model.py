@@ -17,13 +17,10 @@ from jointparse.model import (
     make_dropout_masks,
     sample_hidden_mask,
     save_checkpoint,
-    score_labels,
-    score_structural,
     structural_raw_scores,
     zero_gradients,
 )
 from jointparse.synthetic import generate_treebank
-from jointparse.transition import SHIFT_ACTION, apply_action, axiom, replay, parse_actions
 
 
 @pytest.fixture(scope="module")
@@ -186,43 +183,6 @@ class TestEncode:
                     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
-class TestScoring:
-    def test_axiom_masks_combine(self, setup):
-        _, _, _, params = setup
-        enc = encode(params, [1, 2, 3])
-        logp = score_structural(params, enc, axiom(3))
-        assert logp[0] == pytest.approx(0.0)  # probability one for shift
-        assert logp[1] == -np.inf
-
-    def test_structural_normalization(self, setup):
-        _, _, _, params = setup
-        enc = encode(params, [1, 2, 3])
-        state = replay(3, parse_actions("SH NL SH NL"))
-        logp = score_structural(params, enc, state)
-        assert np.all(np.isfinite(logp))
-        assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-9)
-        assert all(0.0 < p < 1.0 for p in np.exp(logp))
-
-    def test_label_normalization_and_root_mask(self, setup):
-        _, vocab, _, params = setup
-        enc = encode(params, [1, 2])
-        inner = apply_action(axiom(2), SHIFT_ACTION)
-        logp = score_labels(params, enc, inner)
-        assert np.exp(logp).sum() == pytest.approx(1.0, abs=1e-9)
-        root = replay(2, parse_actions("SH NL SH NL CB"))
-        logp_root = score_labels(params, enc, root)
-        assert logp_root[0] == -np.inf  # no-label carries no mass at the root
-        assert np.exp(logp_root[1:]).sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_width_one_span_uses_degenerate_midpoint(self, setup):
-        _, _, _, params = setup
-        enc = encode(params, [1, 2])
-        state = apply_action(axiom(2), SHIFT_ACTION)
-        assert state.midpoint == state.top[0]
-        logp = score_labels(params, enc, state)
-        assert np.all(np.isfinite(logp))
-
-
 class TestLoss:
     def test_zero_steps(self, setup):
         _, _, _, params = setup
@@ -308,6 +268,17 @@ def test_span_scorer_interface(setup):
     labels = scorer.labels(0, 1, 2)
     assert labels.shape == (vocab.label_dim,)
     assert scorer.inventory()[0] is None
+
+
+def test_prepared_scorer_keeps_only_head_rows(setup):
+    _, vocab, _, params = setup
+    scorer = SpanScorer(params, vocab)
+    for words in (["w1", "w2", "w3"], ["w4"]):
+        scorer.prepare(words)
+        assert scorer.enc.caches == {}
+        assert scorer.enc.boundary is None
+        for blocks in scorer.enc.heads.values():
+            assert all(rows.shape[0] == len(words) + 1 for rows in blocks)
 
 
 def test_zero_gradients_match_shapes(setup):

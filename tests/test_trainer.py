@@ -12,7 +12,7 @@ from jointparse.transition import (
     is_terminal,
     legal_actions,
 )
-from jointparse.trees import extract_edus, labeled_spans
+from jointparse.trees import LabeledSpan, extract_edus, labeled_spans
 
 SMALL_MODEL = ModelConfig(word_dim=8, hidden_dim=8, scorer_hidden=12)
 
@@ -83,17 +83,37 @@ class TestRollout:
         from jointparse.transition import parse_greedy
 
         vocab, params = fresh
-        config = oracle_free_config(beta=0.0)
+        scorer = SpanScorer(params, vocab)
         gold = corpus[1]
-        _, trace = rollout(
-            gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(0)
-        )
+        words = [t.text for t in gold.tokens]
         state = axiom(len(gold.tokens))
+        _, trace = rollout(
+            gold, params, vocab, SMALL_MODEL, oracle_free_config(beta=0.0),
+            np.random.default_rng(0),
+        )
         for record in trace:
             state = apply_action(state, record.followed)
-        scorer = SpanScorer(params, vocab)
-        greedy = parse_greedy(scorer, [t.text for t in gold.tokens])
+        greedy = parse_greedy(scorer, words)
         assert state.labeled == frozenset(labeled_spans(greedy))
+
+        # Gold-EDU mode: the trace runs over EDUs, and EDU placeholder labels
+        # are applied without a trace record.
+        config = oracle_free_config(beta=0.0, mode="goldedu")
+        for gold in (d for d in corpus if len(extract_edus(d)) >= 2):
+            edus = extract_edus(gold)
+            _, trace = rollout(
+                gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(0)
+            )
+            final = apply_action(trace[-1].state, trace[-1].followed)
+            assert is_terminal(final) and final.n == len(edus)
+            bounds = [span.start for span in edus] + [len(gold.tokens)]
+            built = {
+                LabeledSpan(bounds[s.start], bounds[s.end], s.chain)
+                for s in final.labeled
+            }
+            words = [t.text for t in gold.tokens]
+            greedy = parse_greedy(scorer, words, edu_spans=edus)
+            assert built == labeled_spans(greedy)
 
     def test_gold_edu_rollout_targets_discourse_only(self, corpus, fresh):
         vocab, params = fresh

@@ -14,8 +14,10 @@ from jointparse.transition import (
     TransitionError,
     apply_action,
     axiom,
+    derive,
     dynamic_oracle,
     format_actions,
+    is_root_span,
     is_terminal,
     label_action,
     legal_actions,
@@ -126,11 +128,6 @@ class TestApply:
         root = replay(2, parse_actions("SH NL SH NL CB"))
         with pytest.raises(TransitionError):
             apply_action(root, NO_LABEL_ACTION)
-
-    def test_score_accumulates(self):
-        state = apply_action(axiom(2), SHIFT_ACTION, score_delta=-0.5)
-        state = apply_action(state, NO_LABEL_ACTION, score_delta=-0.25)
-        assert state.score == pytest.approx(-0.75)
 
 
 class TestStaticOracle:
@@ -326,6 +323,115 @@ class TestParseGreedy:
         scorer = ShortScorer(["S", "NP", "VP"])
         with pytest.raises(TransitionError, match="label scores"):
             parse_greedy(scorer, ["a", "b"])
+
+    @pytest.mark.parametrize("head", ["structural", "labels"])
+    def test_nan_scores_rejected(self, head):
+        class NanScorer(CountingScorer):
+            def structural(self, below, left, right):
+                scores = super().structural(below, left, right)
+                return scores * np.nan if head == "structural" else scores
+
+            def labels(self, left, mid, right):
+                scores = super().labels(left, mid, right)
+                return scores * np.nan if head == "labels" else scores
+
+        with pytest.raises(TransitionError, match="finite"):
+            parse_greedy(NanScorer(["S", "NP"]), ["a", "b", "c"])
+
+
+class RecordingChoosers:
+    """Choosers that take a fixed preference among the legal slots and
+    record every call's arguments."""
+
+    def __init__(self, structural_order=(0, 1), label_order=None):
+        self.structural_order = structural_order
+        self.label_order = label_order
+        self.structural_calls = []
+        self.label_calls = []
+
+    def structural(self, state, below, left, right, legal):
+        self.structural_calls.append((state, (below, left, right), legal))
+        return next(k for k in self.structural_order if legal[k])
+
+    def label(self, state, left, mid, right, legal):
+        self.label_calls.append((state, (left, mid, right), legal.copy()))
+        order = self.label_order or range(len(legal))
+        return next(k for k in order if legal[k])
+
+
+class TestDerive:
+    def test_axiom_allows_shift_only(self):
+        choosers = RecordingChoosers(structural_order=(1, 0))  # prefer combine
+        derive(3, [None, "S"], choosers.structural, choosers.label)
+        state, (below, left, right), legal = choosers.structural_calls[0]
+        assert state == axiom(3)
+        assert legal == (True, False)
+        assert (below, left, right) == (-1, -1, 0)
+
+    def test_mid_document_offers_both_structural_actions(self):
+        choosers = RecordingChoosers()
+        derive(3, [None, "S"], choosers.structural, choosers.label)
+        by_boundaries = {
+            state.boundaries: (tokens, legal)
+            for state, tokens, legal in choosers.structural_calls
+        }
+        # After two shifts the frontier can still advance and the two spans
+        # above the sentinel can combine.
+        assert by_boundaries[(-1, 0, 1, 2)] == ((0, 1, 2), (True, True))
+        assert by_boundaries[(-1, 0, 1, 2, 3)] == ((1, 2, 3), (False, True))
+
+    def test_root_span_never_takes_nolabel(self):
+        chains = [None, "S", "NP"]
+        choosers = RecordingChoosers(label_order=(0, 2, 1))  # no-label first
+        spans = derive(2, chains, choosers.structural, choosers.label)
+        root_legal = [
+            legal for state, _, legal in choosers.label_calls if is_root_span(state)
+        ]
+        assert len(root_legal) == 1 and not root_legal[0][0]
+        assert all(
+            legal[0] for state, _, legal in choosers.label_calls
+            if not is_root_span(state)
+        )
+        assert spans == {LabeledSpan(0, 2, "NP")}
+
+    def test_width_one_span_reads_degenerate_midpoint(self):
+        choosers = RecordingChoosers()
+        derive(3, [None, "S"], choosers.structural, choosers.label)
+        widths = {}
+        for _, (left, mid, right), _ in choosers.label_calls:
+            widths[right - left] = widths.get(right - left, 0) + 1
+            if right - left == 1:
+                assert mid == left
+            else:
+                assert left < mid < right
+        assert widths[1] == 3
+
+    def test_gold_edu_units_map_to_token_boundaries(self):
+        edus = [EduSpan(0, 3), EduSpan(3, 4), EduSpan(4, 8)]
+        chains = [None, "S", "<-Purpose", "List"]
+        choosers = RecordingChoosers()
+        spans = derive(8, chains, choosers.structural, choosers.label, edus)
+        assert [tokens for _, tokens, _ in choosers.structural_calls] == [
+            (-1, -1, 0), (-1, 0, 3), (0, 3, 4), (3, 4, 8), (0, 3, 8),
+        ]
+        # Only the combined spans reach the label chooser, where only the
+        # discourse chains (and no-label off the root) are open.
+        assert [tokens for _, tokens, _ in choosers.label_calls] == [
+            (3, 4, 8), (0, 3, 8),
+        ]
+        assert [legal.tolist() for _, _, legal in choosers.label_calls] == [
+            [True, False, True, True], [False, False, True, True],
+        ]
+        assert {s for s in spans if s.chain == EDU_PLACEHOLDER} == {
+            LabeledSpan(0, 3, EDU_PLACEHOLDER),
+            LabeledSpan(3, 4, EDU_PLACEHOLDER),
+            LabeledSpan(4, 8, EDU_PLACEHOLDER),
+        }
+
+    def test_inventory_must_lead_with_nolabel(self):
+        choosers = RecordingChoosers()
+        with pytest.raises(TransitionError, match="no-label slot"):
+            derive(2, ["S"], choosers.structural, choosers.label)
 
 
 def test_mnemonic_round_trip():
