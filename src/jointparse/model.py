@@ -66,6 +66,12 @@ class Vocabulary:
         self.chains = list(chains)
         self._word_ids = {w: i for i, w in enumerate(self.words)}
         self._chain_ids = {c: i + 1 for i, c in enumerate(self.chains)}
+        if len(self._word_ids) != len(self.words):
+            raise ModelError("word list holds duplicate words")
+        if len(self._chain_ids) != len(self.chains):
+            raise ModelError("label chain list holds duplicate chains")
+        if not all(isinstance(c, str) and c for c in self.chains):
+            raise ModelError("label chains must be non-empty strings")
 
     @classmethod
     def from_treebank(cls, trees):
@@ -75,7 +81,8 @@ class Vocabulary:
             for token in tree.tokens:
                 counts[token.text] = counts.get(token.text, 0) + 1
             chains.update(span.chain for span in labeled_spans(tree))
-        return cls([UNK] + sorted(counts), counts, sorted(chains))
+        # A literal unknown-word token shares the unknown-word slot.
+        return cls([UNK] + sorted(counts.keys() - {UNK}), counts, sorted(chains))
 
     @property
     def n_words(self):
@@ -105,6 +112,9 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, data):
+        missing = sorted({"words", "counts", "chains"} - set(data))
+        if missing:
+            raise ModelError(f"vocabulary lacks {', '.join(missing)}")
         return cls(data["words"], data["counts"], data["chains"])
 
 

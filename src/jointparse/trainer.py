@@ -39,6 +39,7 @@ from .transition import (
     STRUCTURAL_ACTIONS,
     derive,
     dynamic_oracle,
+    gold_index,
     parse_greedy,
     slot_action,
     unit_bounds,
@@ -126,6 +127,7 @@ def rollout(gold, params, vocab, model_config, config, rng):
         for span in labeled_spans(gold)
         if edus is None or is_discourse_chain(span.chain)
     }
+    index = gold_index(gold_map)
     ids = _token_ids(gold, vocab, config, rng)
     masks = make_dropout_masks(n, model_config, config.dropout, rng)
     enc = encode(params, ids, masks)
@@ -146,7 +148,7 @@ def rollout(gold, params, vocab, model_config, config, rng):
         )
         scores, _ = structural_raw_scores(params, enc, step)
         scores = np.where(legal, scores, -np.inf)
-        oracle = dynamic_oracle(state, gold_map)
+        oracle = dynamic_oracle(state, index)
         step.target = max(
             sorted(STRUCTURAL_ACTIONS.index(a) for a in oracle),
             key=lambda k: scores[k],

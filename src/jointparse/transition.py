@@ -31,8 +31,21 @@ driver owns legality and hands each decision to a chooser callback:
 ``state`` is the machine's own state over units; the boundaries are token
 positions, with -1 for the sentinel.  A chooser may raise to abort the
 derivation.
+
+The dynamic oracle (Cross & Huang 2016) needs no lookahead.  In a
+structural state with top span (i, j) and stack boundaries b, combine loses
+exactly the gold spans (i, r) with r > j, since it drops boundary i, and
+shift loses exactly the gold spans (l, j) with l in b below i, since it
+moves past j; so
+
+    reachable(shift) - reachable(combine)
+        = #{gold (i, r) : r > j} - #{gold (l, j) : l in b, l < i}
+
+and the oracle compares two counts read off a per-document `GoldIndex`.
+`reachable_count` stays as the definition this rule is checked against.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -304,6 +317,9 @@ def _laminar_children(gold_map, n: int) -> dict:
 def reachable_count(state: ParserState, gold_spans) -> int:
     """How many not-yet-labeled gold spans a completion could still build.
 
+    This is the definition `dynamic_oracle` maximizes over successors; the
+    oracle itself uses a closed form and does not call it.
+
     A span can only be created with its right boundary at the frontier, so a
     gold span (l, r) survives iff r lies at or beyond the frontier and l is
     still (or will become) an available boundary; during a labeling phase the
@@ -325,26 +341,66 @@ def reachable_count(state: ParserState, gold_spans) -> int:
     return count
 
 
-def dynamic_oracle(state: ParserState, gold_spans) -> set:
+@dataclass(frozen=True)
+class GoldIndex:
+    """The gold spans of one document, indexed for `dynamic_oracle`."""
+
+    chains: dict  # (start, end) -> chain
+    starts: dict  # end -> starts of the gold spans ending there
+    ends: dict  # start -> ends of the gold spans starting there
+
+
+def gold_index(gold_spans) -> GoldIndex:
+    """Index a gold span set, or a dict from extents to chains."""
+    chains = _gold_map(gold_spans)
+    starts, ends = {}, {}
+    for l, r in chains:
+        starts.setdefault(r, []).append(l)
+        ends.setdefault(l, []).append(r)
+    return GoldIndex(chains, starts, ends)
+
+
+def dynamic_oracle(state: ParserState, gold) -> set:
     """The set of actions that preserve the maximum number of reachable
-    gold spans from this state (never empty)."""
-    gold_map = _gold_map(gold_spans)
+    gold spans from this state (never empty).
+
+    `gold` is a `GoldIndex`, or a span set or dict that is indexed per call.
+    A structural state with top span (i, j) and boundaries b compares
+
+        reachable(shift) - reachable(combine)
+            = #{gold (i, r) : r > j} - #{gold (l, j) : l in b, l < i}
+
+    Combine drops boundary i, losing the gold spans (i, r) that end beyond
+    j; shift moves past j, losing the gold spans (l, j) that start at a
+    stack boundary below i; every other span survives both or neither.  No
+    span in either set is built yet: built spans end at or before j, and a
+    built (l, j) would leave no boundary between l and j.  Both sides are
+    counted, so the gold spans need not be laminar.
+    """
+    if not isinstance(gold, GoldIndex):
+        gold = gold_index(gold)
     if is_terminal(state):
         raise TransitionError("terminal state needs no oracle")
+    b = state.boundaries
+    i, j = b[-2], b[-1]
     if state.midpoint is not None:
-        chain = gold_map.get(state.top)
+        chain = gold.chains.get((i, j))
         if chain is not None:
             return {label_action(chain)}
         if is_root_span(state):
             raise TransitionError("gold spans lack a root-covering span")
         return {NO_LABEL_ACTION}
-    candidates = legal_actions(state)
-    scored = {
-        action: reachable_count(apply_action(state, action), gold_map)
-        for action in candidates
-    }
-    best = max(scored.values())
-    return {action for action, value in scored.items() if value == best}
+    if j == state.n:
+        return {COMBINE_ACTION}
+    if len(b) < 4:
+        return {SHIFT_ACTION}
+    lost_by_combine = sum(r > j for r in gold.ends.get(i, ()))
+    lost_by_shift = sum(
+        l < i and b[bisect_left(b, l)] == l for l in gold.starts.get(j, ())
+    )
+    if lost_by_combine == lost_by_shift:
+        return {SHIFT_ACTION, COMBINE_ACTION}
+    return {SHIFT_ACTION if lost_by_combine > lost_by_shift else COMBINE_ACTION}
 
 
 # ---------------------------------------------------------------------------
@@ -371,33 +427,37 @@ def reconstruct(labeled, tokens) -> JointTree:
     if not spans or (spans[0].start, spans[0].end) != (0, n):
         raise TransitionError("span set lacks a root-covering span")
 
-    def build(span):
-        nonlocal pos
-        children = []
-        cursor = span.start
-        while cursor < span.end:
+    # One frame per open span: [span, cursor, children]; a span closes when
+    # its cursor reaches its end and joins its parent's children.
+    pos = 1
+    frames = [[spans[0], 0, []]]
+    while True:
+        frame = frames[-1]
+        span, cursor, children = frame
+        if cursor < span.end:
             if pos < len(spans) and spans[pos].start == cursor:
                 child = spans[pos]
                 if child.end > span.end:
                     raise TransitionError(f"crossing spans {span} and {child}")
                 pos += 1
-                children.append(build(child))
-                cursor = child.end
+                frames.append([child, cursor, []])
             else:
                 children.append(Leaf(tokens[cursor]))
-                cursor += 1
+                frame[1] = cursor + 1
+            continue
         labels = parse_chain(span.chain)
         node = Internal(labels[-1], children)
         for lab in reversed(labels[:-1]):
             node = Internal(lab, [node])
-        return node
-
-    pos = 1
-    root = build(spans[0])
+        frames.pop()
+        if not frames:
+            break
+        frames[-1][1] = span.end
+        frames[-1][2].append(node)
     if pos != len(spans):
         stray = spans[pos]
         raise TransitionError(f"span {stray} crosses the document structure")
-    return JointTree(tokens, root)
+    return JointTree(tokens, node)
 
 
 # ---------------------------------------------------------------------------

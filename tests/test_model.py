@@ -1,3 +1,6 @@
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,12 @@ class TestVocabulary:
         _, vocab, _, _ = setup
         with pytest.raises(ModelError, match="inventory"):
             vocab.chain_id("NOT+A+CHAIN")
+
+    def test_literal_unknown_token_shares_slot_zero(self):
+        trees = generate_treebank("unk-token", 3, vocabulary=("<unk>", "a"))
+        vocab = Vocabulary.from_treebank(trees)
+        assert vocab.words == ["<unk>", "a"]
+        assert vocab.token_id("<unk>") == 0
 
 
 def _reference_boundary(params, ids, masks):
@@ -250,6 +259,29 @@ class TestCheckpoint:
         bad["combine.W1"][3, 1] = value
         save_checkpoint(path, bad, vocab, config)
         with pytest.raises(ModelError, match="combine.W1.*non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda v: v["words"].__setitem__(2, v["words"][1]), "duplicate words"),
+            (lambda v: v["chains"].__setitem__(1, v["chains"][0]), "duplicate chains"),
+            (lambda v: v["chains"].__setitem__(1, None), "non-empty strings"),
+            (lambda v: v["chains"].__setitem__(1, ""), "non-empty strings"),
+            (lambda v: v.pop("chains"), "lacks chains"),
+            (lambda v: v.pop("words"), "lacks words"),
+        ],
+        ids=["dup-word", "dup-chain", "none-chain", "empty-chain",
+             "no-chains", "no-words"],
+    )
+    def test_inconsistent_vocabulary_rejected(self, setup, tmp_path, corrupt,
+                                              message):
+        _, vocab, config, params = setup
+        data = copy.deepcopy(vocab.to_dict())
+        corrupt(data)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, SimpleNamespace(to_dict=lambda: data), config)
+        with pytest.raises(ModelError, match=message):
             load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from jointparse.trees import (
     EDU_PLACEHOLDER,
     EduSpan,
     LabeledSpan,
+    Leaf,
     extract_edus,
     is_discourse_chain,
     labeled_spans,
@@ -246,6 +248,22 @@ class TestReconstruct:
     def test_missing_root_rejected(self):
         with pytest.raises(TransitionError, match="root"):
             reconstruct({LabeledSpan(0, 1, "A")}, ["x", "y"])
+
+    def test_deep_nesting_at_default_recursion_limit(self):
+        depth = 1500
+        spans = {LabeledSpan(k, depth, "S") for k in range(depth - 1)}
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            tree = reconstruct(spans, ["w"] * depth)
+        finally:
+            sys.setrecursionlimit(limit)
+        node = tree.root
+        for k in range(depth - 2):
+            assert node.label.name == "S"
+            assert node.children[0] == Leaf(tree.tokens[k])
+            node = node.children[1]
+        assert node.children == [Leaf(tree.tokens[-2]), Leaf(tree.tokens[-1])]
 
 
 class CountingScorer:
