@@ -9,6 +9,7 @@ unexpected runtime errors.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -41,18 +42,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 RUN_CONFIG_SCHEMA = {
     "data": {"limit"},
-    "model": {"word_dim", "hidden_dim", "scorer_hidden"},
-    "train": {
-        "beta",
-        "dropout",
-        "epochs",
-        "seed",
-        "dev_size",
-        "learning_rate",
-        "clip_norm",
-        "mode",
-        "unk_replace",
-    },
+    "model": {f.name for f in dataclasses.fields(ModelConfig)},
+    "train": {f.name for f in dataclasses.fields(trainer.TrainConfig)},
 }
 
 

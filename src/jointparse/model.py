@@ -23,7 +23,7 @@ correctness is checkable against central finite differences.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,13 +46,6 @@ class ModelConfig:
     @property
     def boundary_dim(self):
         return 4 * self.hidden_dim  # 2 layers x 2 directions
-
-    def to_dict(self):
-        return {
-            "word_dim": self.word_dim,
-            "hidden_dim": self.hidden_dim,
-            "scorer_hidden": self.scorer_hidden,
-        }
 
 
 class Vocabulary:
@@ -445,11 +438,13 @@ def _projection_backward(params, grads, enc, dheads):
 
 @dataclass
 class StructuralStep:
+    """A structural decision; `legal` is the (shift, combine) mask the
+    transition driver handed the chooser."""
+
     below: int           # left boundary of the span under the top one, or -1
     left: int
     right: int
-    can_shift: bool
-    can_combine: bool
+    legal: tuple
     target: int          # 0 = shift, 1 = combine
     hmask_shift: np.ndarray | None = None
     hmask_combine: np.ndarray | None = None
@@ -457,40 +452,45 @@ class StructuralStep:
 
 @dataclass
 class LabelStep:
+    """A labeling decision; `legal` is the driver's bool mask over the label
+    slots (no-label first), which bars no-label at the full-document span."""
+
     left: int
     mid: int
     right: int
-    mask_nolabel: bool                 # the full-document span must be labeled
-    target: int                        # 0 = no-label, k = chain k
-    allowed: np.ndarray | None = None  # optional bool mask over label slots
+    legal: np.ndarray
+    target: int          # 0 = no-label, k = chain k
     hmask: np.ndarray | None = None
 
 
-def structural_raw_scores(params, enc, step: StructuralStep):
-    s_sh, cache_sh = _scalar_score(
-        params, enc, "shift", (step.left, step.right), step.hmask_shift
-    )
+def structural_raw_scores(params, enc, below, left, right,
+                          hmask_shift=None, hmask_combine=None):
+    """Unmasked (shift, combine) scores of the top span (left, right) over
+    the span starting at `below`, and the caches their backward reads."""
+    s_sh, cache_sh = _scalar_score(params, enc, "shift", (left, right), hmask_shift)
     s_cb, cache_cb = _scalar_score(
-        params,
-        enc,
-        "combine",
-        (step.below, step.left, step.right),
-        step.hmask_combine,
+        params, enc, "combine", (below, left, right), hmask_combine
     )
     return np.array([s_sh, s_cb]), (cache_sh, cache_cb)
 
 
-def label_raw_scores(params, enc, step: LabelStep):
-    return _label_score(params, enc, (step.left, step.mid, step.right), step.hmask)
+def label_raw_scores(params, enc, left, mid, right, hmask=None):
+    """Unmasked scores over the label slots of the span (left, right) split
+    at `mid`, and the cache their backward reads."""
+    return _label_score(params, enc, (left, mid, right), hmask)
 
 
-def _masked_log_probs(scores, legal):
+def _masked_nll(scores, legal, target):
+    """Negative log-likelihood of `target` under a softmax over the legal
+    slots, and its gradient with respect to the raw scores."""
+    if not legal[target]:
+        raise ModelError(f"target slot {target} is not legal")
     masked = np.where(legal, scores, -np.inf)
     top = np.max(masked)
-    if not np.isfinite(top):
-        raise ModelError("no legal action to normalize over")
-    logz = top + np.log(np.sum(np.exp(masked - top)))
-    return masked - logz
+    logp = masked - (top + np.log(np.sum(np.exp(masked - top))))
+    dscores = np.where(legal, np.exp(logp), 0.0)
+    dscores[target] -= 1.0
+    return -logp[target], dscores
 
 
 def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
@@ -507,11 +507,10 @@ def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
         for head, blocks in enc.heads.items()
     }
     loss = 0.0
-    label_dim = params["label.b2"].shape[0]
 
     for index, step in enumerate(steps):
         try:
-            loss = _step_loss(params, enc, grads, dheads, loss, label_dim, step)
+            loss += _step_loss(params, enc, grads, dheads, step)
         except ModelError as err:
             raise ModelError(f"step {index} ({step!r}): {err}") from None
         if not np.isfinite(loss):
@@ -523,39 +522,24 @@ def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
     return float(loss), {key: grads[key] for key in params}
 
 
-def _step_loss(params, enc, grads, dheads, loss, label_dim, step):
-    if isinstance(step, StructuralStep):
-        scores, caches = structural_raw_scores(params, enc, step)
-        legal = np.array([step.can_shift, step.can_combine])
-        logp = _masked_log_probs(scores, legal)
-        loss -= logp[step.target]
-        dscores = np.where(legal, np.exp(logp), 0.0)
-        dscores[step.target] -= 1.0
-        if dscores[0] != 0.0:
-            _scalar_backward(
-                params, grads, dheads, "shift", caches[0], dscores[0],
-                step.hmask_shift,
-            )
-        if dscores[1] != 0.0:
-            _scalar_backward(
-                params, grads, dheads, "combine", caches[1], dscores[1],
-                step.hmask_combine,
-            )
-    else:
-        scores, cache = label_raw_scores(params, enc, step)
-        legal = (
-            step.allowed.copy()
-            if step.allowed is not None
-            else np.ones(label_dim, dtype=bool)
+def _step_loss(params, enc, grads, dheads, step):
+    if isinstance(step, LabelStep):
+        scores, cache = label_raw_scores(
+            params, enc, step.left, step.mid, step.right, step.hmask
         )
-        if step.mask_nolabel:
-            legal[0] = False
-        logp = _masked_log_probs(scores, legal)
-        loss -= logp[step.target]
-        dscores = np.where(legal, np.exp(logp), 0.0)
-        dscores[step.target] -= 1.0
+        nll, dscores = _masked_nll(scores, step.legal, step.target)
         _label_backward(params, grads, dheads, cache, dscores, step.hmask)
-    return loss
+        return nll
+    hmasks = (step.hmask_shift, step.hmask_combine)
+    scores, caches = structural_raw_scores(
+        params, enc, step.below, step.left, step.right, *hmasks
+    )
+    nll, dscores = _masked_nll(scores, step.legal, step.target)
+    heads = ("shift", "combine")
+    for head, cache, dscore, hmask in zip(heads, caches, dscores, hmasks):
+        if dscore != 0.0:
+            _scalar_backward(params, grads, dheads, head, cache, dscore, hmask)
+    return nll
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +563,10 @@ class SpanScorer:
         self.enc.boundary = None
 
     def structural(self, below, left, right):
-        step = StructuralStep(
-            below=below, left=left, right=right,
-            can_shift=True, can_combine=True, target=0,
-        )
-        scores, _ = structural_raw_scores(self.params, self.enc, step)
-        return scores
+        return structural_raw_scores(self.params, self.enc, below, left, right)[0]
 
     def labels(self, left, mid, right):
-        step = LabelStep(left=left, mid=mid, right=right, mask_nolabel=False, target=0)
-        scores, _ = label_raw_scores(self.params, self.enc, step)
-        return scores
+        return label_raw_scores(self.params, self.enc, left, mid, right)[0]
 
     def inventory(self):
         return self.vocab.inventory()
@@ -603,7 +580,7 @@ def save_checkpoint(path, params, vocab, config) -> None:
     meta = json.dumps(
         {
             "version": CHECKPOINT_VERSION,
-            "config": config.to_dict(),
+            "config": asdict(config),
             "vocabulary": vocab.to_dict(),
         }
     )
@@ -622,7 +599,13 @@ def load_checkpoint(path):
         params = {k: data[k] for k in data.files if k != "__meta__"}
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {meta.get('version')!r}")
-    config = ModelConfig(**meta["config"])
+    config = meta.get("config")
+    keys = {f.name for f in fields(ModelConfig)}
+    if not isinstance(config, dict) or set(config) != keys:
+        raise ModelError(f"checkpoint config must hold exactly {sorted(keys)}")
+    if not isinstance(meta.get("vocabulary"), dict):
+        raise ModelError("checkpoint lacks a vocabulary")
+    config = ModelConfig(**config)
     vocab = Vocabulary.from_dict(meta["vocabulary"])
     expected = parameter_shapes(vocab, config)
     if set(expected) != set(params):

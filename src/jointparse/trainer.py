@@ -72,19 +72,6 @@ class TrainConfig:
         if self.mode not in (END_TO_END, GOLD_EDU):
             raise ValueError(f"unknown training mode {self.mode!r}")
 
-    def to_dict(self):
-        return {
-            "beta": self.beta,
-            "dropout": self.dropout,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "dev_size": self.dev_size,
-            "learning_rate": self.learning_rate,
-            "clip_norm": self.clip_norm,
-            "mode": self.mode,
-            "unk_replace": self.unk_replace,
-        }
-
 
 @dataclass
 class RolloutStep:
@@ -142,38 +129,32 @@ def rollout(gold, params, vocab, model_config, config, rng):
         return target if rng.random() < config.beta else int(np.argmax(scores))
 
     def structural(state, below, left, right, legal):
-        step = StructuralStep(
-            below, left, right, *legal, target=0,
-            hmask_shift=hidden_mask(), hmask_combine=hidden_mask(),
-        )
-        scores, _ = structural_raw_scores(params, enc, step)
+        hmasks = hidden_mask(), hidden_mask()
+        scores, _ = structural_raw_scores(params, enc, below, left, right, *hmasks)
         scores = np.where(legal, scores, -np.inf)
         oracle = dynamic_oracle(state, index)
-        step.target = max(
+        target = max(
             sorted(STRUCTURAL_ACTIONS.index(a) for a in oracle),
             key=lambda k: scores[k],
         )
-        steps.append(step)
-        followed = follow(scores, step.target)
+        steps.append(StructuralStep(below, left, right, legal, target, *hmasks))
+        followed = follow(scores, target)
         trace.append(RolloutStep(
-            state, STRUCTURAL_ACTIONS[step.target], STRUCTURAL_ACTIONS[followed]
+            state, STRUCTURAL_ACTIONS[target], STRUCTURAL_ACTIONS[followed]
         ))
         return followed
 
     def label(state, left, mid, right, legal):
-        step = LabelStep(
-            left, mid, right, mask_nolabel=not legal[0], target=0,
-            allowed=legal, hmask=hidden_mask(),
-        )
+        hmask = hidden_mask()
         gold_chain = gold_map.get(state.top)
-        step.target = vocab.chain_id(gold_chain) if gold_chain is not None else 0
-        if step.target == 0 and step.mask_nolabel:
-            raise TrainingDiverged("gold tree has no label for the full-document span")
-        steps.append(step)
-        scores, _ = label_raw_scores(params, enc, step)
-        followed = follow(np.where(legal, scores, -np.inf), step.target)
+        target = vocab.chain_id(gold_chain) if gold_chain is not None else 0
+        if not legal[target]:
+            raise TrainingDiverged(f"gold tree has no legal label for span {state.top}")
+        steps.append(LabelStep(left, mid, right, legal, target, hmask))
+        scores, _ = label_raw_scores(params, enc, left, mid, right, hmask)
+        followed = follow(np.where(legal, scores, -np.inf), target)
         trace.append(RolloutStep(
-            state, slot_action(chains, step.target), slot_action(chains, followed)
+            state, slot_action(chains, target), slot_action(chains, followed)
         ))
         return followed
 
@@ -275,8 +256,8 @@ def train(
         train_docs = docs
 
     vocab = Vocabulary.from_treebank(train_docs)
-    params = init_parameters(vocab, model_config or ModelConfig(), rng)
     model_config = model_config or ModelConfig()
+    params = init_parameters(vocab, model_config, rng)
     adam = Adam(params, config.learning_rate, config.clip_norm)
     selection = "rel_f1" if config.mode == GOLD_EDU else "overall_f1"
 

@@ -1,4 +1,5 @@
 import copy
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +34,12 @@ def setup():
     config = ModelConfig(word_dim=6, hidden_dim=5, scorer_hidden=8)
     params = init_parameters(vocab, config, np.random.default_rng(42))
     return trees, vocab, config, params
+
+
+def _label_step(params, target=1):
+    """A label step on the first token with every label slot legal."""
+    legal = np.ones(params["label.b2"].shape, dtype=bool)
+    return LabelStep(left=0, mid=0, right=1, legal=legal, target=target)
 
 
 class TestVocabulary:
@@ -165,27 +172,27 @@ class TestEncode:
                 return sample_hidden_mask(config, rate, rng)
 
             for below, left, right in [(-1, 0, 1), (-1, 0, 4), (0, 2, 3), (1, 5, 7)]:
-                step = StructuralStep(
-                    below, left, right, True, True, 0, hmask(), hmask()
-                )
+                hmask_shift, hmask_combine = hmask(), hmask()
                 expected = [
                     _reference_score(params, boundary, "shift", (left, right),
-                                     step.hmask_shift),
+                                     hmask_shift),
                     _reference_score(params, boundary, "combine", (below, left, right),
-                                     step.hmask_combine),
+                                     hmask_combine),
                 ]
-                got = structural_raw_scores(params, enc, step)[0]
+                got = structural_raw_scores(
+                    params, enc, below, left, right, hmask_shift, hmask_combine
+                )[0]
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
                 if masks is None:
                     got = scorer.structural(below, left, right)
                     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
             # (i, i, i+1) is a width-1 span: its midpoint is its left boundary.
             for left, mid, right in [(0, 0, 1), (6, 6, 7), (0, 3, 7), (2, 4, 5)]:
-                step = LabelStep(left, mid, right, False, 0, hmask=hmask())
+                label_hmask = hmask()
                 expected = _reference_score(
-                    params, boundary, "label", (left, mid, right), step.hmask
+                    params, boundary, "label", (left, mid, right), label_hmask
                 )
-                got = label_raw_scores(params, enc, step)[0]
+                got = label_raw_scores(params, enc, left, mid, right, label_hmask)[0]
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
                 if masks is None:
                     got = scorer.labels(left, mid, right)
@@ -202,9 +209,9 @@ class TestLoss:
     def test_duplicated_step_doubles_contribution(self, setup):
         _, _, _, params = setup
         step = StructuralStep(
-            below=-1, left=0, right=1, can_shift=True, can_combine=False, target=0
+            below=-1, left=0, right=1, legal=(True, False), target=0
         )
-        label = LabelStep(left=0, mid=0, right=1, mask_nolabel=False, target=1)
+        label = _label_step(params)
         one, _ = loss_and_gradients(params, [1, 2], [step, label])
         two, _ = loss_and_gradients(params, [1, 2], [step, label, label])
         single, _ = loss_and_gradients(params, [1, 2], [step])
@@ -214,7 +221,7 @@ class TestLoss:
         _, _, config, params = setup
         rng = np.random.default_rng(0)
         masks = make_dropout_masks(2, config, 0.5, rng)
-        label = LabelStep(left=0, mid=0, right=1, mask_nolabel=False, target=1)
+        label = _label_step(params)
         loss_plain, grads_plain = loss_and_gradients(params, [1, 2], [label])
         loss_drop, grads_drop = loss_and_gradients(params, [1, 2], [label], masks)
         assert set(grads_plain) == set(grads_drop)
@@ -224,9 +231,21 @@ class TestLoss:
         _, _, _, params = setup
         broken = {k: v.copy() for k, v in params.items()}
         broken["label.b2"] = broken["label.b2"] + np.nan
-        label = LabelStep(left=0, mid=0, right=1, mask_nolabel=False, target=1)
+        label = _label_step(params)
         with pytest.raises(ModelError, match="step 0"):
             loss_and_gradients(broken, [1, 2], [label])
+
+
+    def test_illegal_target_reported_with_step(self, setup):
+        _, _, _, params = setup
+        legal = _label_step(params)
+        illegal = _label_step(params, target=0)
+        illegal.legal[0] = False  # the driver's mask at the full-document span
+        with pytest.raises(ModelError, match="(?s)step 1 .*target slot 0 is not legal"):
+            loss_and_gradients(params, [1, 2], [legal, illegal])
+        shift = StructuralStep(below=-1, left=0, right=1, legal=(False, True), target=0)
+        with pytest.raises(ModelError, match="(?s)step 0 .*target slot 0 is not legal"):
+            loss_and_gradients(params, [1, 2], [shift])
 
 
 class TestCheckpoint:
@@ -281,6 +300,31 @@ class TestCheckpoint:
         corrupt(data)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, SimpleNamespace(to_dict=lambda: data), config)
+        with pytest.raises(ModelError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda m: m["config"].update(bogus=1), "config must hold exactly"),
+            (lambda m: m["config"].pop("hidden_dim"), "config must hold exactly"),
+            (lambda m: m.update(config=[50, 200, 200]), "config must hold exactly"),
+            (lambda m: m.pop("config"), "config must hold exactly"),
+            (lambda m: m.pop("vocabulary"), "lacks a vocabulary"),
+        ],
+        ids=["unknown-key", "missing-key", "non-dict", "no-config", "no-vocabulary"],
+    )
+    def test_malformed_metadata_rejected(self, setup, tmp_path, corrupt, message):
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        corrupt(meta)
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
         with pytest.raises(ModelError, match=message):
             load_checkpoint(path)
 

@@ -8,6 +8,7 @@ from jointparse.trainer import Adam, TrainConfig, TrainingDiverged, rollout, tra
 from jointparse.transition import (
     apply_action,
     axiom,
+    derive,
     dynamic_oracle,
     is_terminal,
     legal_actions,
@@ -132,6 +133,49 @@ class TestRollout:
         for step in example.steps:
             if isinstance(step, LabelStep) and step.target > 0:
                 assert is_discourse_chain(vocab.chains[step.target - 1])
+
+    @pytest.mark.parametrize("mode", ["end2end", "goldedu"])
+    def test_steps_carry_the_driver_masks(self, corpus, fresh, monkeypatch, mode):
+        from jointparse.model import LabelStep, StructuralStep
+
+        vocab, params = fresh
+        handed = []
+
+        def recording_derive(n, chains, choose_structural, choose_label, edus=None):
+            def structural(state, below, left, right, legal):
+                handed.append(legal)
+                return choose_structural(state, below, left, right, legal)
+
+            def label(state, left, mid, right, legal):
+                handed.append(legal)
+                return choose_label(state, left, mid, right, legal)
+
+            return derive(n, chains, structural, label, edus)
+
+        monkeypatch.setattr(trainer, "derive", recording_derive)
+        config = oracle_free_config(beta=0.5, dropout=0.5, mode=mode)
+        docs = [d for d in corpus if len(extract_edus(d)) >= 2]
+        assert docs
+        for gold in docs:
+            handed.clear()
+            example, _ = rollout(
+                gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(2)
+            )
+            n = len(gold.tokens)
+            assert len(example.steps) == len(handed)
+            for step, legal in zip(example.steps, handed):
+                assert step.legal is legal
+                assert legal[step.target]
+            first = example.steps[0]
+            assert isinstance(first, StructuralStep) and first.legal == (True, False)
+            (root,) = [
+                s for s in example.steps
+                if isinstance(s, LabelStep) and (s.left, s.right) == (0, n)
+            ]
+            assert not root.legal[0]
+            # Each label step keeps its own mask.
+            label_masks = [s.legal for s in example.steps if isinstance(s, LabelStep)]
+            assert len({id(m) for m in label_masks}) == len(label_masks)
 
 
 class TestAdam:
