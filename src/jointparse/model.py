@@ -18,6 +18,14 @@ every block once; a step's pre-activation is then a sum of two or three
 projected rows, and backward collects per-boundary gradients that one
 matrix product per block turns into weight and feature gradients.
 
+The per-step work left in Python loops is kept to few numpy calls.  The
+recurrence writes into preallocated rows and computes all four gates with
+one tanh, using sigmoid(z) = tanh(z/2)/2 + 1/2 on rows pre-scaled by 1/2.
+The loss stacks its steps by kind, in fixed-size blocks: one gather of
+projected rows, one product per head for the scores and for the output
+layer's gradients, and one scatter of the pre-activation gradients into
+the per-boundary rows; the loss itself is summed in step order.
+
 Everything is float64 numpy with hand-written backpropagation, so gradient
 correctness is checkable against central finite differences.
 """
@@ -176,12 +184,6 @@ def zero_gradients(params) -> dict:
 # LSTM primitives
 
 
-def _sigmoid(x):
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 @dataclass
 class _LstmCache:
     xs: np.ndarray          # (n, in_dim)
@@ -194,19 +196,32 @@ class _LstmCache:
 def _lstm_forward(Wx, Wh, b, xs) -> _LstmCache:
     n = xs.shape[0]
     H = Wh.shape[1]
+    # sigmoid(z) = tanh(z/2)/2 + 1/2.  Halving the i, f and o pre-activations
+    # is exact in binary floating point, so one tanh over all 4H per step
+    # yields every gate; the first 3H are then mapped onto (0, 1) in place.
     inputs = xs @ Wx.T + b
+    inputs[:, : 3 * H] *= 0.5
+    Wh = Wh.copy()
+    Wh[: 3 * H] *= 0.5
     states = np.zeros((n + 1, H))
     cells = np.zeros((n + 1, H))
     gates = np.empty((n, 4 * H))
     tanh_cells = np.empty((n, H))
+    i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
+    ig = np.empty(H)
     for t in range(n):
-        z = inputs[t] + Wh @ states[t]
-        gates[t, : 3 * H] = _sigmoid(z[: 3 * H])
-        gates[t, 3 * H :] = np.tanh(z[3 * H :])
-        i, f, o, g = gates[t].reshape(4, H)
-        cells[t + 1] = f * cells[t] + i * g
+        z = gates[t]
+        np.dot(Wh, states[t], out=z)
+        z += inputs[t]
+        np.tanh(z, out=z)
+        s = z[: 3 * H]
+        s *= 0.5
+        s += 0.5
+        np.multiply(f[t], cells[t], out=cells[t + 1])
+        np.multiply(i[t], g[t], out=ig)
+        cells[t + 1] += ig
         np.tanh(cells[t + 1], out=tanh_cells[t])
-        np.multiply(o, tanh_cells[t], out=states[t + 1])
+        np.multiply(o[t], tanh_cells[t], out=states[t + 1])
     return _LstmCache(xs, states, cells, gates, tanh_cells)
 
 
@@ -230,16 +245,19 @@ def _lstm_backward(Wx, Wh, cache, d_states):
         axis=1,
     )
     dc_dh = o * (1.0 - tc * tc)
+    dZ4 = dZ.reshape(n, 4, H)
     dh = np.zeros(H)
     dc = np.zeros(H)
+    dh_dc = np.empty(H)
     for t in range(n - 1, -1, -1):
         dh += d_states[t + 1]
-        dc += dh * dc_dh[t]
-        dz = dZ[t].reshape(4, H)
+        np.multiply(dh, dc_dh[t], out=dh_dc)
+        dc += dh_dc
+        dz = dZ4[t]
         dz[:2] *= dc
         dz[2] *= dh
         dz[3] *= dc
-        dh = dZ[t] @ Wh
+        np.dot(dZ[t], Wh, out=dh)
         dc *= f[t]
     return dZ @ Wx, dZ.T @ cache.xs, dZ.T @ cache.states[:-1], dZ.sum(axis=0)
 
@@ -378,31 +396,10 @@ def _head_forward(params, enc, head, positions, hmask):
     return pre, hidden
 
 
-def _head_backward(grads, dheads, head, cache, dhidden, hmask):
-    """Back through the ReLU layer; each read boundary's row of `dheads`
-    collects the pre-activation gradient."""
-    positions, pre, _ = cache
-    if hmask is not None:
-        dhidden = dhidden * hmask
-    dpre = dhidden * (pre > 0)
-    grads[f"{head}.b1"] += dpre
-    for drows, p in zip(dheads[head], positions):
-        if p >= 0:
-            drows[p] += dpre
-
-
 def _scalar_score(params, enc, head, positions, hmask):
     pre, hidden = _head_forward(params, enc, head, positions, hmask)
     score = params[f"{head}.w2"] @ hidden + params[f"{head}.b2"][0]
     return score, (positions, pre, hidden)
-
-
-def _scalar_backward(params, grads, dheads, head, cache, dscore, hmask):
-    _, _, hidden = cache
-    grads[f"{head}.w2"] += dscore * hidden
-    grads[f"{head}.b2"][0] += dscore
-    dhidden = dscore * params[f"{head}.w2"]
-    _head_backward(grads, dheads, head, cache, dhidden, hmask)
 
 
 def _label_score(params, enc, positions, hmask):
@@ -411,12 +408,64 @@ def _label_score(params, enc, positions, hmask):
     return scores, (positions, pre, hidden)
 
 
-def _label_backward(params, grads, dheads, cache, dscores, hmask):
-    _, _, hidden = cache
-    grads["label.W2"] += np.outer(dscores, hidden)
-    grads["label.b2"] += dscores
-    dhidden = dscores @ params["label.W2"]
-    _head_backward(grads, dheads, "label", cache, dhidden, hmask)
+# Per head: the step fields holding the boundaries it reads, and its mask.
+_HEAD_FIELDS = {
+    "shift": (("left", "right"), "hmask_shift"),
+    "combine": (("below", "left", "right"), "hmask_combine"),
+    "label": (("left", "mid", "right"), "hmask"),
+}
+
+
+def _stack_masks(hmasks):
+    """Per-step hidden masks as rows of one array, where a step without a
+    mask reads ones; None when no step has one."""
+    shapes = {m.shape for m in hmasks if m is not None}
+    if not shapes:
+        return None
+    ones = np.ones(shapes.pop())
+    return np.array([ones if m is None else m for m in hmasks])
+
+
+def _block_loss(params, enc, grads, dheads, steps):
+    """Per-step negative log-likelihoods of steps of one kind, with each
+    head's forward and backward done as stacked products over the steps.
+    Gradients accumulate into `grads`, and each read boundary's row of
+    `dheads` collects its steps' pre-activation gradients."""
+    heads = ("label",) if isinstance(steps[0], LabelStep) else ("shift", "combine")
+    layers, scores = [], []
+    for head in heads:
+        reads, mask_field = _HEAD_FIELDS[head]
+        positions = np.array([[getattr(s, r) for s in steps] for r in reads])
+        hmasks = _stack_masks([getattr(s, mask_field) for s in steps])
+        pre = params[f"{head}.b1"]
+        for rows, p in zip(enc.heads[head], positions):
+            # the sentinel boundary -1 reads a zero vector
+            pre = pre + np.where((p >= 0)[:, None], rows[p], 0.0)
+        hidden = np.maximum(pre, 0.0)
+        if hmasks is not None:
+            hidden *= hmasks
+        out = "label.W2" if head == "label" else f"{head}.w2"
+        W2 = params[out].reshape(-1, hidden.shape[1])  # a scalar head's w2: one row
+        scores.append(hidden @ W2.T + params[f"{head}.b2"])
+        layers.append((head, positions, hmasks, pre, hidden, out, W2))
+    legal = np.array([s.legal for s in steps], dtype=bool)
+    nll, dscores = _masked_nll(np.hstack(scores), legal, [s.target for s in steps])
+    splits = np.cumsum([block.shape[1] for block in scores])[:-1]
+    for (head, positions, hmasks, pre, hidden, out, W2), d in zip(
+        layers, np.hsplit(dscores, splits)
+    ):
+        dW2 = grads[out].reshape(W2.shape)
+        dW2 += d.T @ hidden
+        grads[f"{head}.b2"] += d.sum(axis=0)
+        dpre = d @ W2
+        if hmasks is not None:
+            dpre *= hmasks
+        dpre *= pre > 0
+        grads[f"{head}.b1"] += dpre.sum(axis=0)
+        for drows, p in zip(dheads[head], positions):
+            read = p >= 0
+            np.add.at(drows, p[read], dpre[read])
+    return nll
 
 
 def _projection_backward(params, grads, enc, dheads):
@@ -466,7 +515,8 @@ class LabelStep:
 def structural_raw_scores(params, enc, below, left, right,
                           hmask_shift=None, hmask_combine=None):
     """Unmasked (shift, combine) scores of the top span (left, right) over
-    the span starting at `below`, and the caches their backward reads."""
+    the span starting at `below`, and each head's (positions, pre-activation,
+    hidden) values."""
     s_sh, cache_sh = _scalar_score(params, enc, "shift", (left, right), hmask_shift)
     s_cb, cache_cb = _scalar_score(
         params, enc, "combine", (below, left, right), hmask_combine
@@ -476,26 +526,32 @@ def structural_raw_scores(params, enc, below, left, right,
 
 def label_raw_scores(params, enc, left, mid, right, hmask=None):
     """Unmasked scores over the label slots of the span (left, right) split
-    at `mid`, and the cache their backward reads."""
+    at `mid`, and the head's (positions, pre-activation, hidden) values."""
     return _label_score(params, enc, (left, mid, right), hmask)
 
 
 def _masked_nll(scores, legal, target):
-    """Negative log-likelihood of `target` under a softmax over the legal
-    slots, and its gradient with respect to the raw scores."""
-    if not legal[target]:
-        raise ModelError(f"target slot {target} is not legal")
+    """Per row, the negative log-likelihood of `target` under a softmax over
+    the legal slots, and its gradient with respect to the raw scores.  Every
+    target must be legal."""
+    rows = np.arange(len(target))
     masked = np.where(legal, scores, -np.inf)
-    top = np.max(masked)
-    logp = masked - (top + np.log(np.sum(np.exp(masked - top))))
+    top = np.max(masked, axis=1, keepdims=True)
+    logp = masked - (top + np.log(np.sum(np.exp(masked - top), axis=1, keepdims=True)))
     dscores = np.where(legal, np.exp(logp), 0.0)
-    dscores[target] -= 1.0
-    return -logp[target], dscores
+    dscores[rows, target] -= 1.0
+    return -logp[rows, target], dscores
+
+
+# Steps per stacked product in the loss: bounds its temporaries at any length.
+LOSS_BLOCK = 256
 
 
 def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
     """Summed negative log-likelihood of the per-step targets, with exact
-    gradients for every parameter.  Raises on a non-finite loss."""
+    gradients for every parameter.  Steps of one kind are scored together
+    in blocks of LOSS_BLOCK, and the loss is summed in step order.  Raises
+    on an illegal target or a non-finite loss, naming the first bad step."""
     enc = encode(params, ids, masks)
     # Encoder gradients arrive whole from _encoder_backward; zero arrays for
     # them would only raise the peak memory.
@@ -506,40 +562,32 @@ def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
         head: [np.zeros_like(rows) for rows in blocks]
         for head, blocks in enc.heads.items()
     }
-    loss = 0.0
-
-    for index, step in enumerate(steps):
-        try:
-            loss += _step_loss(params, enc, grads, dheads, step)
-        except ModelError as err:
-            raise ModelError(f"step {index} ({step!r}): {err}") from None
-        if not np.isfinite(loss):
-            raise ModelError(f"non-finite loss at step {index}: {step!r}")
+    # Only the steps before the first illegal target are scored.
+    scored = next(
+        (k for k, step in enumerate(steps) if not step.legal[step.target]), len(steps)
+    )
+    nll = np.zeros(scored)
+    for label in (False, True):
+        index = [k for k in range(scored) if isinstance(steps[k], LabelStep) == label]
+        for start in range(0, len(index), LOSS_BLOCK):
+            block = index[start : start + LOSS_BLOCK]
+            nll[block] = _block_loss(
+                params, enc, grads, dheads, [steps[k] for k in block]
+            )
+    running = np.cumsum(nll)  # sequential sums: entry k is the loss to step k
+    bad = np.flatnonzero(~np.isfinite(running))
+    if bad.size:
+        raise ModelError(f"non-finite loss at step {bad[0]}: {steps[bad[0]]!r}")
+    if scored < len(steps):
+        step = steps[scored]
+        raise ModelError(
+            f"step {scored} ({step!r}): target slot {step.target} is not legal"
+        )
 
     dF = _projection_backward(params, grads, enc, dheads)
     del dheads, enc.heads  # free the projected rows before the encoder's backward
     grads.update(_encoder_backward(params, enc, dF))
-    return float(loss), {key: grads[key] for key in params}
-
-
-def _step_loss(params, enc, grads, dheads, step):
-    if isinstance(step, LabelStep):
-        scores, cache = label_raw_scores(
-            params, enc, step.left, step.mid, step.right, step.hmask
-        )
-        nll, dscores = _masked_nll(scores, step.legal, step.target)
-        _label_backward(params, grads, dheads, cache, dscores, step.hmask)
-        return nll
-    hmasks = (step.hmask_shift, step.hmask_combine)
-    scores, caches = structural_raw_scores(
-        params, enc, step.below, step.left, step.right, *hmasks
-    )
-    nll, dscores = _masked_nll(scores, step.legal, step.target)
-    heads = ("shift", "combine")
-    for head, cache, dscore, hmask in zip(heads, caches, dscores, hmasks):
-        if dscore != 0.0:
-            _scalar_backward(params, grads, dheads, head, cache, dscore, hmask)
-    return nll
+    return float(running[-1]) if scored else 0.0, {key: grads[key] for key in params}
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +643,13 @@ def load_checkpoint(path):
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data:
             raise ModelError(f"{path}: not a checkpoint (missing metadata)")
-        meta = json.loads(str(data["__meta__"]))
+        try:
+            meta = json.loads(str(data["__meta__"]))
+        except json.JSONDecodeError:
+            meta = None
         params = {k: data[k] for k in data.files if k != "__meta__"}
+    if not isinstance(meta, dict):
+        raise ModelError(f"{path}: checkpoint metadata is not a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {meta.get('version')!r}")
     config = meta.get("config")

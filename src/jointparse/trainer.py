@@ -167,8 +167,9 @@ def rollout(gold, params, vocab, model_config, config, rng):
 
 
 class Adam:
-    """Adaptive-moment gradient descent with global norm clipping; clipping
-    scales the passed gradients in place."""
+    """Adaptive-moment gradient descent with global norm clipping.  `update`
+    consumes the passed gradients: clipping scales them in place, and each
+    then serves as its parameter's step buffer."""
 
     def __init__(self, params, learning_rate=1e-3, clip_norm=5.0,
                  beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -189,11 +190,25 @@ class Adam:
                     grad *= scale
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
+        # params -= lr * (m/c1) / (sqrt(v/c2) + eps), computed in place with
+        # the same operations, so the result is that formula's bit for bit.
         for key, grad in grads.items():
-            m = self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
-            v = self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad**2
-            step = (m / correction1) / (np.sqrt(v / correction2) + self.epsilon)
-            params[key] -= self.learning_rate * step
+            m, v = self.m[key], self.v[key]
+            denom = np.square(grad)
+            denom *= 1.0 - self.beta2
+            v *= self.beta2
+            v += denom
+            m *= self.beta1
+            grad *= 1.0 - self.beta1
+            m += grad
+            np.divide(v, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.epsilon
+            np.divide(m, correction1, out=grad)
+            grad /= denom
+            grad *= self.learning_rate
+            params[key] -= grad
 
 
 # ---------------------------------------------------------------------------

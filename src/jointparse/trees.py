@@ -169,15 +169,13 @@ def is_discourse_chain(chain: str) -> bool:
 def leaf_tokens(node: Node):
     """Tokens under a node, in order."""
     out = []
-
-    def walk(nd):
+    stack = [node]
+    while stack:
+        nd = stack.pop()
         if isinstance(nd, Leaf):
             out.append(nd.token)
         else:
-            for child in nd.children:
-                walk(child)
-
-    walk(node)
+            stack.extend(reversed(nd.children))
     return out
 
 
@@ -198,11 +196,12 @@ def validate_tree(tree: JointTree) -> None:
             raise InvariantError(f"bad token text {tok.text!r}")
 
     seen = []
-
-    def walk(node, below_syntax):
+    stack = [(tree.root, False)]  # pre-order: the first hit in document order
+    while stack:
+        node, below_syntax = stack.pop()
         if isinstance(node, Leaf):
             seen.append(node.token)
-            return
+            continue
         if not node.children:
             raise InvariantError("internal node with no children")
         label = node.label
@@ -227,10 +226,7 @@ def validate_tree(tree: JointTree) -> None:
         else:
             below_syntax = True
         check_renderable(label)
-        for child in node.children:
-            walk(child, below_syntax)
-
-    walk(tree.root, False)
+        stack.extend((child, below_syntax) for child in reversed(node.children))
     if [t.index for t in seen] != list(range(len(tree.tokens))):
         raise InvariantError("leaf sequence does not reproduce the token sequence")
     for got, expect in zip(seen, tree.tokens):
@@ -246,21 +242,26 @@ def labeled_spans(tree: JointTree) -> set:
     """One LabeledSpan per internal node, with same-extent ancestor chains
     collapsed into a single ``+``-joined chain (outermost label first)."""
     chains = {}  # (start, end) -> [label, ...] in outermost-first order
-
-    def walk(node):
+    extents = []  # finished subtrees' (start, end), awaiting their parent
+    stack = [(tree.root, False)]
+    while stack:
+        node, children_done = stack.pop()
         if isinstance(node, Leaf):
-            return node.token.index, node.token.index + 1
-        start, end = None, None
-        for child in node.children:
-            cs, ce = walk(child)
-            start = cs if start is None else start
-            end = ce
-        # Children are recorded before their parent, so prepending keeps the
-        # outermost label of a same-extent chain first.
-        chains.setdefault((start, end), []).insert(0, node.label)
-        return start, end
-
-    walk(tree.root)
+            extents.append((node.token.index, node.token.index + 1))
+        elif not children_done:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+        else:
+            first = len(extents) - len(node.children)
+            start, end = None, None
+            for cs, ce in extents[first:]:
+                start = cs if start is None else start
+                end = ce
+            del extents[first:]
+            # Children are recorded before their parent, so prepending keeps
+            # the outermost label of a same-extent chain first.
+            chains.setdefault((start, end), []).insert(0, node.label)
+            extents.append((start, end))
     return {
         LabeledSpan(start, end, join_chain(labels))
         for (start, end), labels in chains.items()
@@ -271,16 +272,13 @@ def extract_edus(tree: JointTree) -> list:
     """EDU spans: extents of the maximal constituency-rooted subtrees (the
     children of the lowest discourse layer), tiling the whole document."""
     spans = []
-
-    def walk(node):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Internal) and isinstance(node.label, DiscourseLabel):
-            for child in node.children:
-                walk(child)
+            stack.extend(reversed(node.children))
         else:
-            start, end = span_of(node)
-            spans.append(EduSpan(start, end))
-
-    walk(tree.root)
+            spans.append(EduSpan(*span_of(node)))
     return spans
 
 

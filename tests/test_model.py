@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jointparse.model import (
+    LOSS_BLOCK,
     LabelStep,
     ModelConfig,
     ModelError,
@@ -13,7 +14,8 @@ from jointparse.model import (
     StructuralStep,
     Vocabulary,
     encode,
-    _sigmoid,
+    _encoder_backward,
+    _lstm_forward,
     init_parameters,
     label_raw_scores,
     load_checkpoint,
@@ -109,6 +111,81 @@ def _reference_score(params, boundary, head, positions, hmask):
     return params[f"{head}.w2"] @ hidden + params[f"{head}.b2"][0]
 
 
+def _reference_loss(params, ids, steps, masks):
+    """Loss and gradients one step at a time: each head applied to the
+    concatenated boundary vectors it reads and backpropagated by hand, with
+    the boundary-feature gradient pushed through the encoder's backward."""
+    enc = encode(params, ids, masks)
+    F = enc.boundary
+    D = F.shape[1]
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dF = np.zeros_like(F)
+    loss = 0.0
+    for step in steps:
+        if isinstance(step, LabelStep):
+            reads = [("label", (step.left, step.mid, step.right), step.hmask)]
+        else:
+            reads = [
+                ("shift", (step.left, step.right), step.hmask_shift),
+                ("combine", (step.below, step.left, step.right), step.hmask_combine),
+            ]
+        heads = []
+        for head, positions, hmask in reads:
+            x = np.concatenate([F[p] if p >= 0 else np.zeros(D) for p in positions])
+            pre = params[f"{head}.W1"] @ x + params[f"{head}.b1"]
+            keep = np.ones_like(pre) if hmask is None else hmask
+            W2 = params["label.W2"] if head == "label" else params[f"{head}.w2"][None]
+            hidden = np.maximum(pre, 0.0) * keep
+            heads.append((head, positions, keep, x, pre, hidden, W2))
+        scores = np.concatenate(
+            [W2 @ hidden + params[f"{h}.b2"] for h, _, _, _, _, hidden, W2 in heads]
+        )
+        legal = np.asarray(step.legal, dtype=bool)
+        masked = np.where(legal, scores, -np.inf)
+        prob = np.exp(masked - masked.max())
+        prob /= prob.sum()
+        loss += -np.log(prob[step.target])
+        dscores = prob
+        dscores[step.target] -= 1.0
+        for head, positions, keep, x, pre, hidden, W2 in heads:
+            d, dscores = dscores[: len(W2)], dscores[len(W2) :]
+            out = "label.W2" if head == "label" else f"{head}.w2"
+            grads[out] += np.outer(d, hidden).reshape(grads[out].shape)
+            grads[f"{head}.b2"] += d
+            dpre = (d @ W2) * keep * (pre > 0)
+            grads[f"{head}.W1"] += np.outer(dpre, x)
+            grads[f"{head}.b1"] += dpre
+            dx = params[f"{head}.W1"].T @ dpre
+            for k, p in enumerate(positions):
+                if p >= 0:
+                    dF[p] += dx[k * D : (k + 1) * D]
+    grads.update(_encoder_backward(params, enc, dF))
+    return loss, grads
+
+
+def _random_steps(count, n, label_dim, hmask, rng):
+    """Interleaved structural and label steps over n tokens with legal
+    targets, including below = -1, width-1 spans and one-action masks."""
+    steps = []
+    for _ in range(count):
+        left = int(rng.integers(0, n))
+        right = int(rng.integers(left + 1, n + 1))
+        if rng.random() < 0.5:
+            below = int(rng.integers(-1, left)) if left > 0 else -1
+            legal = [(True, True), (True, False), (False, True)][rng.integers(3)]
+            target = int(rng.choice(np.flatnonzero(legal)))
+            steps.append(
+                StructuralStep(below, left, right, legal, target, hmask(), hmask())
+            )
+        else:
+            mid = left if right - left == 1 else int(rng.integers(left, right))
+            legal = rng.random(label_dim) < 0.7
+            legal[0] = True
+            target = int(rng.choice(np.flatnonzero(legal)))
+            steps.append(LabelStep(left, mid, right, legal, target, hmask()))
+    return steps
+
+
 class TestEncode:
     def test_boundary_dimension(self, setup):
         _, _, config, params = setup
@@ -134,8 +211,11 @@ class TestEncode:
         deltas = np.linalg.norm(base - bump, axis=1)
         assert np.all(deltas > 0)
 
-    def test_sigmoid_matches_two_branch_form(self):
-        # The overflow-safe form evaluated branch by branch on masked copies.
+    def test_gate_form_matches_two_branch_sigmoid_and_tanh(self):
+        # With a zero input a one-step run's pre-activations are `b`, so its
+        # gates are sigmoid on the i, f and o blocks and tanh on g at chosen
+        # points.  The tanh form of the sigmoid flushes it to 0 below about
+        # -37, where the two-branch form is subnormal, so the check is absolute.
         def two_branch(x):
             out = np.empty_like(x)
             pos = x >= 0
@@ -148,7 +228,17 @@ class TestEncode:
         x = np.concatenate([
             rng.normal(size=999) * scale for scale in (0.1, 1.0, 10.0, 100.0)
         ] + [np.array([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, np.inf, -np.inf])])
-        assert np.array_equal(_sigmoid(x), two_branch(x))
+        H = 77  # 4004 points in 52 runs
+        for z in x.reshape(-1, H):
+            cache = _lstm_forward(
+                np.zeros((4 * H, 1)), np.zeros((4 * H, H)), np.tile(z, 4),
+                np.zeros((1, 1)),
+            )
+            gates = cache.gates[0].reshape(4, H)
+            for k in range(3):
+                np.testing.assert_allclose(gates[k], two_branch(z), rtol=0,
+                                           atol=2.3e-16)
+            np.testing.assert_allclose(gates[3], np.tanh(z), rtol=0, atol=2.3e-16)
 
     def test_empty_document_rejected(self, setup):
         _, _, _, params = setup
@@ -248,6 +338,41 @@ class TestLoss:
             loss_and_gradients(params, [1, 2], [shift])
 
 
+class TestStackedLoss:
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_matches_per_step_reference(self, setup, rate):
+        _, vocab, config, params = setup
+        rng = np.random.default_rng(17)
+        ids = rng.integers(0, vocab.n_words, 9)
+        masks = make_dropout_masks(len(ids), config, rate, rng)
+
+        def hmask():  # some steps without a mask among masked ones
+            return sample_hidden_mask(config, rate, rng) if rng.random() < 0.8 else None
+
+        # Both kinds span more than two blocks of stacked steps.
+        steps = _random_steps(5 * LOSS_BLOCK, len(ids), vocab.label_dim, hmask, rng)
+        assert any(getattr(s, "below", 0) == -1 for s in steps)
+        assert any(isinstance(s, LabelStep) and s.right - s.left == 1 for s in steps)
+        loss, grads = loss_and_gradients(params, ids, steps, masks)
+        want_loss, want = _reference_loss(params, ids, steps, masks)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        for key, array in want.items():
+            scale = np.abs(array).max()
+            assert np.abs(grads[key] - array).max() <= 1e-12 * scale, key
+
+    def test_first_failing_step_is_reported(self, setup):
+        _, vocab, config, params = setup
+        ok = _label_step(params)
+        poisoned = _label_step(params)
+        poisoned.hmask = np.full(config.scorer_hidden, np.nan)
+        illegal = StructuralStep(below=-1, left=0, right=1, legal=(False, True),
+                                 target=0)
+        with pytest.raises(ModelError, match="non-finite loss at step 1"):
+            loss_and_gradients(params, [1, 2], [ok, poisoned, illegal, ok])
+        with pytest.raises(ModelError, match="(?s)step 1 .*target slot 0 is not legal"):
+            loss_and_gradients(params, [1, 2], [ok, illegal, poisoned, ok])
+
+
 class TestCheckpoint:
     def test_round_trip(self, setup, tmp_path):
         _, vocab, config, params = setup
@@ -326,6 +451,22 @@ class TestCheckpoint:
         with open(path, "wb") as handle:
             np.savez(handle, **arrays)
         with pytest.raises(ModelError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "meta", ["[1, 2]", "5", '"text"', "{not json"],
+        ids=["list", "number", "string", "invalid-json"],
+    )
+    def test_non_object_metadata_rejected(self, setup, tmp_path, meta):
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["__meta__"] = np.array(meta)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(ModelError, match="metadata is not a JSON object"):
             load_checkpoint(path)
 
     def test_non_checkpoint_rejected(self, tmp_path):

@@ -192,6 +192,36 @@ class TestAdam:
         adam.update(params, {"x": np.full(3, 1e6)})
         assert np.linalg.norm(params["x"]) < 2.0
 
+    @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
+    def test_matches_out_of_place_formula_bit_for_bit(self, clip_norm):
+        # The textbook update, written out of place, as the reference.
+        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(11)
+        shapes = {"w": (7, 5), "b": (5,), "s": (1,)}
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        expected = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        adam = Adam(params, lr, clip_norm, beta1, beta2, eps)
+        for t in range(1, 21):
+            grads = {k: rng.normal(size=shape) * 3.0 for k, shape in shapes.items()}
+            reference = {k: g.copy() for k, g in grads.items()}
+            total = np.sqrt(sum(float(np.sum(g * g)) for g in reference.values()))
+            if clip_norm > 0.0 and total > clip_norm:
+                reference = {k: g * (clip_norm / total) for k, g in reference.items()}
+            for key, grad in reference.items():
+                m[key] = beta1 * m[key] + (1.0 - beta1) * grad
+                v[key] = beta2 * v[key] + (1.0 - beta2) * grad**2
+                step = (m[key] / (1.0 - beta1**t)) / (
+                    np.sqrt(v[key] / (1.0 - beta2**t)) + eps
+                )
+                expected[key] = expected[key] - lr * step
+            adam.update(params, grads)
+            for key in shapes:
+                assert np.array_equal(params[key], expected[key])
+                assert np.array_equal(adam.m[key], m[key])
+                assert np.array_equal(adam.v[key], v[key])
+
 
 class TestTrain:
     def test_seeded_runs_are_identical(self, corpus):

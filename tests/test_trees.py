@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from jointparse import serialize
@@ -15,6 +17,7 @@ from jointparse.trees import (
     Token,
     extract_edus,
     is_discourse_chain,
+    leaf_tokens,
     labeled_spans,
     parse_chain,
     parse_label,
@@ -147,3 +150,35 @@ class TestValidate:
         root = Internal(label, [syn("S", *leaves(0)), syn("S", *leaves(1))])
         with pytest.raises(ValueError):
             serialize.write_joint(tree_over(root, 2))
+
+
+def test_walkers_on_deep_tree_at_default_recursion_limit():
+    # 750 right-branching discourse nodes, each over a one-token EDU with a
+    # unary chain, above a 750-deep right-branching constituency chain.
+    depth = 750
+    n = 2 * depth + 1
+    elab = DiscourseLabel("Elaboration", NUCLEUS_THEN_SATELLITE)
+    node = syn("NP", *leaves(n - 2, n - 1))
+    for k in range(n - 3, depth - 1, -1):
+        node = syn("NP", *leaves(k), node)
+    for k in range(depth - 1, -1, -1):
+        node = Internal(elab, [syn("S", syn("VP", *leaves(k))), node])
+    tree = tree_over(node, n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        validate_tree(tree)
+        tokens = leaf_tokens(tree.root)
+        spans = labeled_spans(tree)
+        edus = extract_edus(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tokens == tree.tokens
+    assert spans == (
+        {LabeledSpan(k, n, "<-Elaboration") for k in range(depth)}
+        | {LabeledSpan(k, k + 1, "S+VP") for k in range(depth)}
+        | {LabeledSpan(k, n, "NP") for k in range(depth, n - 1)}
+    )
+    assert [(s.start, s.end) for s in edus] == (
+        [(k, k + 1) for k in range(depth)] + [(depth, n)]
+    )
