@@ -20,6 +20,8 @@ BRACKET_ESCAPES = {
     "-RSB-": "]",
 }
 
+_PLAIN_TO_ESCAPE = {plain: escape for escape, plain in BRACKET_ESCAPES.items()}
+
 TRACE_LABEL = "-NONE-"
 
 _TOKEN_RE = re.compile(r"\(|\)|[^()\s]+")
@@ -49,10 +51,7 @@ def unescape_token(text: str) -> str:
 
 
 def escape_token(text: str) -> str:
-    for escape, plain in BRACKET_ESCAPES.items():
-        if text == plain:
-            return escape
-    return text
+    return _PLAIN_TO_ESCAPE.get(text, text)
 
 
 def strip_label(raw: str) -> str:

@@ -24,76 +24,73 @@ class JointParseError(ValueError):
 
 def write_joint(tree: JointTree) -> str:
     """Render a joint tree as a single bracketed line."""
-
-    def render(node):
-        if isinstance(node, Leaf):
-            return escape_token(node.token.text)
-        check_renderable(node.label)
-        inner = " ".join(render(c) for c in node.children)
-        return f"({node.label.render()} {inner})"
-
     if isinstance(tree.root, Leaf):
         # A bare token has no bracketed form of its own.
         raise JointParseError("cannot serialize a tree whose root is a bare token")
-    return render(tree.root)
+    heads = {}  # label -> "(<label>", checked once per call
+    parts = []  # joined by spaces; a closing bracket joins the part before it
+    stack = [tree.root]  # nodes still to write, and their closing brackets
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Leaf):
+            parts.append(escape_token(item.token.text))
+        elif isinstance(item, Internal):
+            head = heads.get(item.label)
+            if head is None:
+                check_renderable(item.label)
+                head = heads[item.label] = f"({item.label.render()}"
+            parts.append(head)
+            stack.append(")" if item.children else " )")
+            stack.extend(reversed(item.children))
+        else:
+            parts[-1] += item
+    return " ".join(parts)
 
 
 def read_joint(text: str) -> JointTree:
     """Parse one bracketed block back into a joint tree."""
-    tokens_out = []
-    pos = 0
-    text = text.strip()
-    if not text:
+    return _read_block(text, {})
+
+
+def _read_block(text: str, labels: dict) -> JointTree:
+    """`read_joint` with a label text -> label cache shared across blocks."""
+    # A name runs to the next whitespace or bracket, so padding the brackets
+    # with spaces and splitting on whitespace yields the pieces in order.
+    pieces = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not pieces:
         raise JointParseError("empty input")
-
-    def skip_space(p):
-        while p < len(text) and text[p].isspace():
-            p += 1
-        return p
-
-    def atom(p):
-        q = p
-        while q < len(text) and not text[q].isspace() and text[q] not in "()":
-            q += 1
-        if q == p:
-            raise JointParseError(f"expected a name at offset {p}")
-        return text[p:q], q
-
-    def node(p):
-        p = skip_space(p)
-        if p >= len(text) or text[p] != "(":
-            raise JointParseError(f"expected '(' at offset {p}")
-        p = skip_space(p + 1)
-        raw_label, p = atom(p)
-        try:
-            label = parse_label(raw_label)
-        except ValueError as exc:
-            raise JointParseError(str(exc)) from exc
-        children = []
-        while True:
-            p = skip_space(p)
-            if p >= len(text):
-                raise JointParseError("unbalanced '('")
-            if text[p] == ")":
-                p += 1
+    if pieces[0] != "(":
+        raise JointParseError("expected '(' at offset 0")
+    tokens = []
+    stack = []  # open constituents: (label text, label, children)
+    pieces = iter(pieces)
+    for piece in pieces:
+        if piece == "(":
+            name = next(pieces, ")")
+            if name == "(" or name == ")":
+                raise JointParseError("expected a name after '('")
+            if name not in labels:
+                try:
+                    labels[name] = parse_label(name)
+                except ValueError as exc:
+                    raise JointParseError(str(exc)) from exc
+            stack.append((name, labels[name], []))
+        elif piece == ")":
+            name, label, children = stack.pop()
+            if not children:
+                raise JointParseError(f"constituent {name!r} has no children")
+            node = Internal(label, children)
+            if not stack:
                 break
-            if text[p] == "(":
-                child, p = node(p)
-            else:
-                word, p = atom(p)
-                tok = Token(len(tokens_out), unescape_token(word))
-                tokens_out.append(tok)
-                child = Leaf(tok)
-            children.append(child)
-        if not children:
-            raise JointParseError(f"constituent {raw_label!r} has no children")
-        return Internal(label, children), p
-
-    root, pos = node(0)
-    pos = skip_space(pos)
-    if pos != len(text):
-        raise JointParseError(f"trailing material at offset {pos}")
-    return JointTree(tokens_out, root)
+            stack[-1][2].append(node)
+        else:
+            tokens.append(Token(len(tokens), unescape_token(piece)))
+            stack[-1][2].append(Leaf(tokens[-1]))
+    if stack:
+        raise JointParseError("unbalanced '('")
+    for piece in pieces:
+        raise JointParseError(f"trailing material {piece!r} after the root")
+    return JointTree(tokens, node)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +100,7 @@ def read_joint(text: str) -> JointTree:
 def write_treebank(trees, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for tree in trees:
-            handle.write(write_joint(tree))
-            handle.write("\n\n")
+            handle.write(write_joint(tree) + "\n\n")
 
 
 def read_treebank(path) -> list:
@@ -113,10 +109,20 @@ def read_treebank(path) -> list:
 
 
 def read_treebank_text(text: str) -> list:
+    """The trees of a treebank text; an error names the document and its line."""
     trees = []
+    labels = {}
+    line = 1  # the line the current block starts on
     for block in text.split("\n\n"):
         if block.strip():
-            trees.append(read_joint(block))
+            try:
+                trees.append(_read_block(block, labels))
+            except JointParseError as exc:
+                line += block.count("\n", 0, len(block) - len(block.lstrip()))
+                raise JointParseError(
+                    f"document {len(trees) + 1} (line {line}): {exc}"
+                ) from exc
+        line += block.count("\n") + 2
     return trees
 
 

@@ -14,6 +14,7 @@ checkpoint is retained.
 """
 
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -316,15 +317,12 @@ def train(
                 "rel {dev_rel_f1:.2f} ({seconds:.1f}s)".format(**entry)
             )
         if out_dir is not None:
-            save_checkpoint(
-                f"{out_dir}/epoch-{epoch}.ckpt", params, vocab, model_config
-            )
+            epoch_path = f"{out_dir}/epoch-{epoch}.ckpt"
+            save_checkpoint(epoch_path, params, vocab, model_config)
         if metrics[selection] >= result.best_f1:
             result.best_f1 = metrics[selection]
             result.best_epoch = epoch
             result.params = {k: v.copy() for k, v in params.items()}
             if out_dir is not None:
-                save_checkpoint(
-                    f"{out_dir}/best.ckpt", result.params, vocab, model_config
-                )
+                shutil.copyfile(epoch_path, f"{out_dir}/best.ckpt")
     return result

@@ -257,28 +257,22 @@ def static_oracle(gold: JointTree) -> list:
     n = len(gold.tokens)
     children = _laminar_children(gold_map, n)
     actions = []
-
-    def label_or_skip(extent):
-        chain = gold_map.get(extent)
-        actions.append(label_action(chain) if chain else NO_LABEL_ACTION)
-
-    def derive(extent):
-        start, end = extent
-        if end - start == 1:
-            actions.append(SHIFT_ACTION)
-            label_or_skip(extent)
-            return
-        parts = children[extent]
-        derive(parts[0])
-        for idx, part in enumerate(parts[1:], start=2):
-            derive(part)
-            actions.append(COMBINE_ACTION)
-            if idx < len(parts):
-                actions.append(NO_LABEL_ACTION)
-            else:
-                label_or_skip(extent)
-
-    derive((0, n))
+    stack = [(0, n)]  # extents to derive, and the actions that follow them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Action):
+            actions.append(item)
+            continue
+        chain = gold_map.get(item)
+        label = label_action(chain) if chain else NO_LABEL_ACTION
+        if item[1] - item[0] == 1:
+            actions += (SHIFT_ACTION, label)
+            continue
+        parts = children[item]
+        stack += (label, COMBINE_ACTION, parts[-1])
+        for part in reversed(parts[1:-1]):
+            stack += (NO_LABEL_ACTION, COMBINE_ACTION, part)
+        stack.append(parts[0])
     return actions
 
 
@@ -431,6 +425,7 @@ def reconstruct(labeled, tokens) -> JointTree:
     # its cursor reaches its end and joins its parent's children.
     pos = 1
     frames = [[spans[0], 0, []]]
+    chains = {}  # chain text -> its labels, parsed once per call
     while True:
         frame = frames[-1]
         span, cursor, children = frame
@@ -445,7 +440,9 @@ def reconstruct(labeled, tokens) -> JointTree:
                 children.append(Leaf(tokens[cursor]))
                 frame[1] = cursor + 1
             continue
-        labels = parse_chain(span.chain)
+        labels = chains.get(span.chain)
+        if labels is None:
+            labels = chains[span.chain] = parse_chain(span.chain)
         node = Internal(labels[-1], children)
         for lab in reversed(labels[:-1]):
             node = Internal(lab, [node])

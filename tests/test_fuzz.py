@@ -8,6 +8,8 @@ in input validation.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_text
 
@@ -41,6 +43,17 @@ def test_joint_reader_survives_mutations(seed):
         except (JointParseError, InvariantError):
             continue
         assert tree.tokens  # parsed: must at least be a real tree
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text(alphabet=ALPHABET, max_size=60))
+def test_joint_reader_on_random_strings(text):
+    try:
+        tree = read_joint(text)
+    except (JointParseError, InvariantError):
+        return
+    assert tree.tokens
+    assert read_joint(write_joint(tree)) == tree
 
 
 @pytest.mark.parametrize("seed", range(4))

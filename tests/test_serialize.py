@@ -1,15 +1,18 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointparse.serialize import (
     JointParseError,
     read_joint,
     read_segmentation,
     read_treebank,
+    read_treebank_text,
     write_joint,
     write_segmentation,
     write_treebank,
 )
-from jointparse.synthetic import generate_synthetic
+from jointparse.synthetic import WORDS, generate_synthetic
 from jointparse.trees import EduSpan, MULTI_NUCLEAR, DiscourseLabel
 
 
@@ -57,6 +60,45 @@ def test_treebank_file_round_trip(tmp_path):
     path = tmp_path / "trees.joint"
     write_treebank(trees, path)
     assert read_treebank(path) == trees
+
+
+def test_treebank_error_names_the_document(tmp_path):
+    good = [write_joint(generate_synthetic(f"bad/{k}", max_tokens=6)) for k in range(2)]
+    path = tmp_path / "trees.joint"
+    # Lines: 1 and 3 hold the good trees, 4 to 6 are blank, 7 is the bad one.
+    path.write_text(f"{good[0]}\n\n{good[1]}\n\n\n\n(S (NP x)\n\n(S y)\n")
+    message = r"^document 3 \(line 7\): unbalanced '\('$"
+    with pytest.raises(JointParseError, match=message):
+        read_treebank(path)
+
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+# Words that the format must write as bracket escapes (-LRB- and so on).
+BRACKET_WORDS = ("(", ")", "{", "}", "[", "]")
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 10**6),
+    max_tokens=st.integers(1, 80),
+    max_edus=st.integers(1, 12),
+    brackets=st.booleans(),
+)
+def test_round_trip_property(seed, max_tokens, max_edus, brackets):
+    vocabulary = [*WORDS, *BRACKET_WORDS] if brackets else WORDS
+    tree = generate_synthetic(seed, max_tokens, max_edus, vocabulary=vocabulary)
+    assert read_joint(write_joint(tree)) == tree
+
+
+@PROPERTY
+@given(
+    seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+    separator=st.sampled_from(["\n\n", "\n\n\n", " \n\n", "\n\n \n\n"]),
+)
+def test_treebank_text_property(seeds, separator):
+    blocks = [write_joint(generate_synthetic(seed, max_tokens=20)) for seed in seeds]
+    text = separator.join(blocks) + separator
+    assert read_treebank_text(text) == [read_joint(block) for block in blocks]
 
 
 def test_segmentation_file_round_trip(tmp_path):

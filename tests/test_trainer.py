@@ -256,6 +256,29 @@ class TestTrain:
         assert vocab.words[0] == "<unk>"
         assert params["embed"].shape[0] == vocab.n_words
 
+    def test_best_checkpoint_holds_best_epoch_arrays(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        # Epoch 2 is the best; epoch 3, written after it, is not.
+        scores = iter([10.0, 50.0, 20.0])
+
+        def scripted_metrics(*args):
+            f1 = next(scores)
+            return {"overall_f1": f1, "struct_f1": f1, "nuc_f1": f1, "rel_f1": f1}
+
+        monkeypatch.setattr(trainer, "dev_metrics", scripted_metrics)
+        config = oracle_free_config(epochs=3, seed=5)
+        result = train(corpus, config, SMALL_MODEL, out_dir=str(tmp_path))
+        assert result.best_epoch == 2
+        best, _, _ = load_checkpoint(tmp_path / "best.ckpt")
+        second, _, _ = load_checkpoint(tmp_path / "epoch-2.ckpt")
+        third, _, _ = load_checkpoint(tmp_path / "epoch-3.ckpt")
+        assert best.keys() == second.keys() == result.params.keys()
+        for key in best:
+            assert np.array_equal(best[key], second[key])
+            assert np.array_equal(best[key], result.params[key])
+        assert any(not np.array_equal(best[key], third[key]) for key in best)
+
     def test_dev_split_holds_out_documents(self, corpus):
         config = oracle_free_config(epochs=1, dev_size=2, seed=2)
         result = train(corpus, config, SMALL_MODEL)

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from jointparse import serialize
+from jointparse.transition import reconstruct, replay, static_oracle
 from jointparse.trees import (
     MULTI_NUCLEAR,
     NUCLEUS_THEN_SATELLITE,
@@ -152,10 +153,10 @@ class TestValidate:
             serialize.write_joint(tree_over(root, 2))
 
 
-def test_walkers_on_deep_tree_at_default_recursion_limit():
-    # 750 right-branching discourse nodes, each over a one-token EDU with a
-    # unary chain, above a 750-deep right-branching constituency chain.
-    depth = 750
+def deep_tree(depth):
+    """`depth` right-branching discourse nodes, each over a one-token EDU with
+    a unary chain, above a `depth`-deep right-branching constituency chain:
+    2 * depth + 1 tokens, nested about 2 * depth levels deep."""
     n = 2 * depth + 1
     elab = DiscourseLabel("Elaboration", NUCLEUS_THEN_SATELLITE)
     node = syn("NP", *leaves(n - 2, n - 1))
@@ -163,7 +164,28 @@ def test_walkers_on_deep_tree_at_default_recursion_limit():
         node = syn("NP", *leaves(k), node)
     for k in range(depth - 1, -1, -1):
         node = Internal(elab, [syn("S", syn("VP", *leaves(k))), node])
-    tree = tree_over(node, n)
+    return tree_over(node, n)
+
+
+def assert_same_tree(got, expect):
+    """`got == expect`, checked level by level: dataclass equality recurses
+    once per level and would itself hit the recursion limit."""
+    assert got.tokens == expect.tokens
+    stack = [(got.root, expect.root)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(b, Leaf):
+            assert a == b
+            continue
+        assert isinstance(a, Internal) and a.label == b.label
+        assert len(a.children) == len(b.children)
+        stack.extend(zip(a.children, b.children))
+
+
+def test_walkers_on_deep_tree_at_default_recursion_limit():
+    depth = 750
+    n = 2 * depth + 1
+    tree = deep_tree(depth)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -182,3 +204,19 @@ def test_walkers_on_deep_tree_at_default_recursion_limit():
     assert [(s.start, s.end) for s in edus] == (
         [(k, k + 1) for k in range(depth)] + [(depth, n)]
     )
+
+
+def test_joint_format_and_static_oracle_on_deep_tree_at_default_recursion_limit():
+    tree = deep_tree(750)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        back = serialize.read_joint(serialize.write_joint(tree))
+        validate_tree(back)
+        state = replay(len(tree.tokens), static_oracle(tree))
+        rebuilt = reconstruct(state.labeled, tree.tokens)
+        spans = labeled_spans(rebuilt)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert_same_tree(back, tree)
+    assert spans == labeled_spans(tree)
