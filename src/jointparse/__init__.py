@@ -47,7 +47,6 @@ from .transition import (
     dynamic_oracle,
     legal_actions,
     parse_greedy,
-    phase,
     reachable_count,
     reconstruct,
     replay,

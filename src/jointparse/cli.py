@@ -17,6 +17,7 @@ import sys
 from . import convert, evaluate, serialize, synthetic, trainer, verify
 from .model import ModelConfig, SpanScorer, load_checkpoint
 from .transition import parse_greedy
+from .trees import InvariantError, validate_tree
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -135,9 +136,20 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def read_valid_treebank(path) -> list:
+    """A joint treebank whose every tree passes `validate_tree`."""
+    treebank = serialize.read_treebank(path)
+    for number, tree in enumerate(treebank, 1):
+        try:
+            validate_tree(tree)
+        except InvariantError as err:
+            raise ValidationFailure(f"{path}: document {number}: {err}") from err
+    return treebank
+
+
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
-    treebank = serialize.read_treebank(args.treebank)
+    treebank = read_valid_treebank(args.treebank)
     limit = run["data"].get("limit")
     if limit is not None:
         treebank = treebank[:limit]
@@ -233,7 +245,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    gold = serialize.read_treebank(args.gold)
+    gold = read_valid_treebank(args.gold)
+    # --pred stays unchecked: greedy output is not yet well-formed by
+    # construction.
     pred = serialize.read_treebank(args.pred)
     report = evaluate.corpus_report(gold, pred)
     print(json.dumps(report, indent=2))

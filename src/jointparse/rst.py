@@ -43,10 +43,6 @@ class RstNode:
     nuclearity: str = NUCLEUS
     relation: str | None = None
 
-    @property
-    def is_multinuclear(self):
-        return all(c.nuclearity == NUCLEUS for c in self.children)
-
 
 @dataclass
 class RstTree:

@@ -43,9 +43,9 @@ from .transition import (
     gold_index,
     parse_greedy,
     slot_action,
-    unit_bounds,
+    unit_gold_map,
 )
-from .trees import extract_edus, is_discourse_chain, labeled_spans
+from .trees import extract_edus
 
 END_TO_END = "end2end"
 GOLD_EDU = "goldedu"
@@ -109,12 +109,7 @@ def rollout(gold, params, vocab, model_config, config, rng):
     where only discourse spans are targets."""
     n = len(gold.tokens)
     edus = extract_edus(gold) if config.mode == GOLD_EDU else None
-    unit_of = {b: u for u, b in enumerate(unit_bounds(n, edus))}
-    gold_map = {
-        (unit_of[span.start], unit_of[span.end]): span.chain
-        for span in labeled_spans(gold)
-        if edus is None or is_discourse_chain(span.chain)
-    }
+    gold_map = unit_gold_map(gold, edus)
     index = gold_index(gold_map)
     ids = _token_ids(gold, vocab, config, rng)
     masks = make_dropout_masks(n, model_config, config.dropout, rng)

@@ -14,12 +14,24 @@ Terminal states have boundaries ``[-1, 0, n]`` and no midpoint.  The final
 labeling of the full span ``(0, n)`` must pick a real label (no-label is
 masked there), so every finished derivation yields a rooted tree.
 
+`legal_mask` is the machine's one legality rule.  Shift needs a token
+(or unit) left to shift, combine needs two spans above the sentinel, each
+action belongs to one phase, no-label is illegal on the root span, and
+with gold EDUs only discourse chains may label the spans above EDUs (the
+slots `label_slots` opens).  It returns the structural pair (can shift,
+can combine) or a bool mask over the label slots.  `legal_actions`
+enumerates that result as `Action`s, `apply_action` checks an action
+against it before taking `successor`, `dynamic_oracle` reads it where only
+one structural action is open, and `verify.CompletionSearch` expands
+states through `legal_actions` and `successor`.
+
 One driver, `derive`, runs every derivation: greedy decoding
 (`parse_greedy`) and the trainer's oracle rollouts.  It runs over units,
 which are the tokens, or the EDUs when gold EDUs are given; shifting then
 advances a whole EDU, whose label is fixed to a placeholder without a
-choice, and only discourse chains may label the spans above EDUs.  The
-driver owns legality and hands each decision to a chooser callback:
+choice (`unit_bounds` maps units to tokens, and `unit_gold_map` puts gold
+spans into unit positions).  The driver hands `legal_mask` to a chooser
+callback for each decision and takes the chosen action unchecked:
 
 * ``choose_structural(state, below, left, right, legal)`` for shift or
   combine, where ``legal`` is the pair (can shift, can combine) and the
@@ -46,7 +58,7 @@ and the oracle compares two counts read off a per-document `GoldIndex`.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,9 +79,6 @@ SHIFT = "shift"
 COMBINE = "combine"
 LABEL = "label"
 NO_LABEL = "nolabel"
-
-STRUCTURAL = "structural"
-LABELING = "labeling"
 
 
 class TransitionError(ValueError):
@@ -94,30 +103,20 @@ class Action:
 SHIFT_ACTION = Action(SHIFT)
 COMBINE_ACTION = Action(COMBINE)
 NO_LABEL_ACTION = Action(NO_LABEL)
+STRUCTURAL_ACTIONS = (SHIFT_ACTION, COMBINE_ACTION)
 
 
 def label_action(chain: str) -> Action:
     return Action(LABEL, chain)
 
 
+def slot_action(chains, slot: int) -> Action:
+    """The labeling action for score slot `slot` of a label inventory."""
+    return NO_LABEL_ACTION if slot == 0 else label_action(chains[slot])
+
+
 def format_actions(actions) -> str:
     return " ".join(a.mnemonic() for a in actions)
-
-
-def parse_actions(text: str) -> list:
-    out = []
-    for word in text.split():
-        if word == "SH":
-            out.append(SHIFT_ACTION)
-        elif word == "CB":
-            out.append(COMBINE_ACTION)
-        elif word == "NL":
-            out.append(NO_LABEL_ACTION)
-        elif word.startswith("L:"):
-            out.append(label_action(word[2:]))
-        else:
-            raise TransitionError(f"unknown action mnemonic {word!r}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -151,69 +150,70 @@ def is_terminal(state: ParserState) -> bool:
     )
 
 
-def phase(state: ParserState) -> str:
-    if is_terminal(state):
-        raise TransitionError("terminal state has no phase")
-    return LABELING if state.midpoint is not None else STRUCTURAL
-
-
 def is_root_span(state: ParserState) -> bool:
     return state.top == (0, state.n)
 
 
-def legal_actions(state: ParserState, chains=()) -> set:
-    """Legal actions; `chains` supplies the label inventory for label phases."""
-    if is_terminal(state):
-        raise TransitionError("no legal actions in a terminal state")
+def label_slots(chains, gold_edus=False) -> np.ndarray:
+    """The slots of a label inventory (no-label first) that may label a
+    span: all of them, or with gold EDUs no-label and the discourse chains."""
+    return np.array(
+        [not gold_edus or c is None or is_discourse_chain(c) for c in chains]
+    )
+
+
+def legal_mask(state: ParserState, slots):
+    """The legal moves of a non-terminal state.
+
+    A structural state gets the pair (can shift, can combine): shift needs a
+    unit beyond the frontier and combine two spans above the sentinel.  A
+    labeling state gets a copy of `slots` (see `label_slots`) with no-label
+    closed on the root span.
+    """
     if state.midpoint is None:
-        out = set()
-        if state.frontier < state.n:
-            out.add(SHIFT_ACTION)
-        if len(state.boundaries) >= 4:
-            out.add(COMBINE_ACTION)
-        return out
-    out = {label_action(chain) for chain in chains}
-    if not is_root_span(state):
-        out.add(NO_LABEL_ACTION)
-    return out
+        legal = (state.frontier < state.n, len(state.boundaries) >= 4)
+        if not any(legal):
+            raise TransitionError("no legal actions in a terminal state")
+        return legal
+    legal = slots.copy()
+    legal[0] = not is_root_span(state)
+    return legal
+
+
+def legal_actions(state: ParserState, chains=(), gold_edus=False) -> set:
+    """`legal_mask` as a set of actions; `chains` is the label inventory
+    without its no-label slot."""
+    inventory = [None, *chains]
+    legal = legal_mask(state, label_slots(inventory, gold_edus))
+    if state.midpoint is None:
+        options = STRUCTURAL_ACTIONS
+    else:
+        options = [slot_action(inventory, k) for k in range(len(inventory))]
+    return {action for action, ok in zip(options, legal) if ok}
+
+
+def successor(state: ParserState, action: Action) -> ParserState:
+    """The state after `action`, which must be legal in `state`."""
+    n, b = state.n, state.boundaries
+    if action.kind == SHIFT:
+        return ParserState(n, b + (b[-1] + 1,), b[-1], state.labeled)
+    if action.kind == COMBINE:
+        return ParserState(n, b[:-2] + b[-1:], b[-2], state.labeled)
+    labeled = state.labeled
+    if action.kind == LABEL:
+        labeled = labeled | {LabeledSpan(b[-2], b[-1], action.chain)}
+    return ParserState(n, b, None, labeled)
 
 
 def apply_action(state: ParserState, action: Action):
-    """The successor state; raises on actions illegal in this state."""
-    if is_terminal(state):
-        raise TransitionError(f"cannot {action.kind} in a terminal state")
-    structural = state.midpoint is None
-    if action.kind == SHIFT:
-        if not structural:
-            raise TransitionError("shift during a labeling phase")
-        j = state.frontier
-        if j >= state.n:
-            raise TransitionError("shift past the end of the document")
-        return replace(state, boundaries=state.boundaries + (j + 1,), midpoint=j)
-    if action.kind == COMBINE:
-        if not structural:
-            raise TransitionError("combine during a labeling phase")
-        if len(state.boundaries) < 4:
-            raise TransitionError("combine needs two spans above the sentinel")
-        k = state.boundaries[-2]
-        return replace(
-            state,
-            boundaries=state.boundaries[:-2] + state.boundaries[-1:],
-            midpoint=k,
+    """The successor state; raises on actions illegal in this state.  Any
+    non-empty chain may label a span."""
+    chains = (action.chain,) if action.kind == LABEL and action.chain else ()
+    if action not in legal_actions(state, chains):
+        raise TransitionError(
+            f"{action.mnemonic()} is illegal at boundaries {state.boundaries}"
         )
-    if structural:
-        raise TransitionError(f"{action.kind} during a structural phase")
-    if action.kind == LABEL:
-        if not action.chain:
-            raise TransitionError("label action without a chain")
-        i, j = state.top
-        span = LabeledSpan(i, j, action.chain)
-        return replace(state, midpoint=None, labeled=state.labeled | {span})
-    if action.kind == NO_LABEL:
-        if is_root_span(state):
-            raise TransitionError("the full-document span must be labeled")
-        return replace(state, midpoint=None)
-    raise TransitionError(f"unknown action kind {action.kind!r}")
+    return successor(state, action)
 
 
 def replay(n: int, actions) -> ParserState:
@@ -221,20 +221,6 @@ def replay(n: int, actions) -> ParserState:
     for action in actions:
         state = apply_action(state, action)
     return state
-
-
-def validate_state(state: ParserState) -> None:
-    """Sanity checks for the state invariants (used by tests and verifiers)."""
-    b = state.boundaries
-    if b[0] != -1 or b[1] != 0 or list(b) != sorted(set(b)) or b[-1] > state.n:
-        raise TransitionError(f"bad boundary list {b}")
-    if state.midpoint is not None:
-        i, j = state.top
-        shifted_mark = state.midpoint == i and j == i + 1
-        if not (i < state.midpoint < j or shifted_mark):
-            raise TransitionError(
-                f"midpoint {state.midpoint} outside the top span ({i}, {j})"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +359,6 @@ def dynamic_oracle(state: ParserState, gold) -> set:
     """
     if not isinstance(gold, GoldIndex):
         gold = gold_index(gold)
-    if is_terminal(state):
-        raise TransitionError("terminal state needs no oracle")
     b = state.boundaries
     i, j = b[-2], b[-1]
     if state.midpoint is not None:
@@ -384,10 +368,9 @@ def dynamic_oracle(state: ParserState, gold) -> set:
         if is_root_span(state):
             raise TransitionError("gold spans lack a root-covering span")
         return {NO_LABEL_ACTION}
-    if j == state.n:
-        return {COMBINE_ACTION}
-    if len(b) < 4:
-        return {SHIFT_ACTION}
+    can_shift, can_combine = legal_mask(state, None)  # raises when terminal
+    if not (can_shift and can_combine):
+        return {SHIFT_ACTION if can_shift else COMBINE_ACTION}
     lost_by_combine = sum(r > j for r in gold.ends.get(i, ()))
     lost_by_shift = sum(
         l < i and b[bisect_left(b, l)] == l for l in gold.starts.get(j, ())
@@ -460,14 +443,6 @@ def reconstruct(labeled, tokens) -> JointTree:
 # ---------------------------------------------------------------------------
 # the derivation driver
 
-STRUCTURAL_ACTIONS = (SHIFT_ACTION, COMBINE_ACTION)
-
-
-def slot_action(chains, slot: int) -> Action:
-    """The labeling action for score slot `slot` of a label inventory."""
-    return NO_LABEL_ACTION if slot == 0 else label_action(chains[slot])
-
-
 def unit_bounds(n: int, edu_spans=None) -> list:
     """Token position of each unit boundary: every token is a unit, or with
     `edu_spans`, which must tile the n tokens, every EDU is."""
@@ -477,6 +452,19 @@ def unit_bounds(n: int, edu_spans=None) -> list:
     if not spans_tile(edu_spans, n):
         raise TransitionError("EDU spans do not tile the document")
     return [span.start for span in edu_spans] + [n]
+
+
+def unit_gold_map(gold: JointTree, edu_spans=None) -> dict:
+    """The gold spans of a tree in unit positions, as a dict from extents to
+    chains: every span over tokens, or with `edu_spans` (the tree's EDUs)
+    the discourse spans over EDUs, the only spans labeled there."""
+    bounds = unit_bounds(len(gold.tokens), edu_spans)
+    unit_of = {b: u for u, b in enumerate(bounds)}
+    return {
+        (unit_of[span.start], unit_of[span.end]): span.chain
+        for span in labeled_spans(gold)
+        if edu_spans is None or is_discourse_chain(span.chain)
+    }
 
 
 def derive(n, chains, choose_structural, choose_label, edu_spans=None) -> set:
@@ -490,9 +478,8 @@ def derive(n, chains, choose_structural, choose_label, edu_spans=None) -> set:
     if chains[0] is not None:
         raise TransitionError("label inventory must start with the no-label slot")
     bounds = unit_bounds(n, edu_spans)
-    allowed = np.array(
-        [edu_spans is None or c is None or is_discourse_chain(c) for c in chains]
-    )
+    slots = label_slots(chains, edu_spans is not None)
+    placeholder = label_action(EDU_PLACEHOLDER)
 
     def at(u):  # token position of unit boundary u; the sentinel stays -1
         return -1 if u < 0 else bounds[u]
@@ -501,19 +488,18 @@ def derive(n, chains, choose_structural, choose_label, edu_spans=None) -> set:
     while not is_terminal(state):
         i, j = state.top
         if state.midpoint is None:
-            legal = (j < state.n, len(state.boundaries) >= 4)
+            legal = legal_mask(state, slots)
             below = at(state.boundaries[-3]) if legal[1] else -1
             pick = choose_structural(state, below, at(i), at(j), legal)
             action = STRUCTURAL_ACTIONS[pick]
         elif edu_spans is not None and j - i == 1:
             # EDU-internal structure is not predicted in gold-EDU mode.
-            action = label_action(EDU_PLACEHOLDER)
+            action = placeholder
         else:
-            legal = allowed.copy()
-            legal[0] = not is_root_span(state)
+            legal = legal_mask(state, slots)
             pick = choose_label(state, at(i), at(state.midpoint), at(j), legal)
             action = slot_action(chains, pick)
-        state = apply_action(state, action)
+        state = successor(state, action)
     return {LabeledSpan(at(s.start), at(s.end), s.chain) for s in state.labeled}
 
 

@@ -192,10 +192,11 @@ def validate_tree(tree: JointTree) -> None:
     for pos, tok in enumerate(tree.tokens):
         if tok.index != pos:
             raise InvariantError(f"token {tok!r} at position {pos}")
-        if not tok.text or any(c.isspace() for c in tok.text):
+        if tok.text.split() != [tok.text]:  # empty, or holds whitespace
             raise InvariantError(f"bad token text {tok.text!r}")
 
     seen = []
+    renderable = set()  # labels already checked, each once per call
     stack = [(tree.root, False)]  # pre-order: the first hit in document order
     while stack:
         node, below_syntax = stack.pop()
@@ -225,7 +226,9 @@ def validate_tree(tree: JointTree) -> None:
                 )
         else:
             below_syntax = True
-        check_renderable(label)
+        if label not in renderable:
+            check_renderable(label)
+            renderable.add(label)
         stack.extend((child, below_syntax) for child in reversed(node.children))
     if [t.index for t in seen] != list(range(len(tree.tokens))):
         raise InvariantError("leaf sequence does not reproduce the token sequence")

@@ -23,14 +23,16 @@ from . import trainer
 from .model import ModelConfig, Vocabulary, init_parameters, loss_and_gradients
 from .synthetic import generate_synthetic
 from .transition import (
+    LABEL,
     apply_action,
     axiom,
     dynamic_oracle,
     is_terminal,
     legal_actions,
     reachable_count,
+    successor,
+    unit_gold_map,
 )
-from .trees import labeled_spans
 
 
 # ---------------------------------------------------------------------------
@@ -38,60 +40,47 @@ from .trees import labeled_spans
 
 
 class CompletionSearch:
-    """Memoized exhaustive search over all completions of a parser state."""
+    """Memoized exhaustive search over all completions of a parser state,
+    expanded with the transition system's own `legal_actions` and
+    `successor` over the label inventory `chains` (no-label left out)."""
 
-    def __init__(self, gold_map, n):
+    def __init__(self, gold_map, chains, gold_edus=False):
         self.gold_map = dict(gold_map)
-        self.n = n
+        self.chains = list(chains)
+        self.gold_edus = gold_edus
         self._memo = {}
 
-    def best_future(self, boundaries, labeling) -> int:
+    def _scored(self, state) -> dict:
+        """Each legal action's immediate delta plus the best future after it."""
+        scored = {}
+        for action in legal_actions(state, self.chains, self.gold_edus):
+            delta = 0
+            if action.kind == LABEL:
+                delta = 1 if self.gold_map.get(state.top) == action.chain else -1
+            scored[action] = delta + self.best_future(successor(state, action))
+        return scored
+
+    def best_future(self, state) -> int:
         """Maximum number of gold spans still collectable from here on.
 
+        The search maximizes (gold spans built) - (non-gold spans labeled).
         False labels are avoidable in every completion (no-label is legal
-        everywhere except at the root, which is always gold), so the maximum
-        of the (gained - false) objective equals the maximum gain.
+        everywhere except at the root, which is always gold), so that
+        maximum equals the maximum gain.  The future depends on the
+        boundaries and the phase only.
         """
-        key = (boundaries, labeling)
-        if key in self._memo:
-            return self._memo[key]
-        if labeling:
-            i, j = boundaries[-2], boundaries[-1]
-            gain = 1 if (i, j) in self.gold_map else 0
-            value = gain + self.best_future(boundaries, False)
-        elif len(boundaries) == 3 and boundaries[-1] == self.n:
-            value = 0  # terminal
-        else:
-            options = []
-            j = boundaries[-1]
-            if j < self.n:
-                options.append(self.best_future(boundaries + (j + 1,), True))
-            if len(boundaries) >= 4:
-                options.append(
-                    self.best_future(boundaries[:-2] + boundaries[-1:], True)
-                )
-            value = max(options)
-        self._memo[key] = value
-        return value
-
-    def best_actions(self, state, chains) -> set:
-        """argmax over legal actions of immediate delta plus best future."""
-        scored = {}
-        for action in legal_actions(state, chains):
-            successor = apply_action(state, action)
-            delta = 0
-            if action.kind == "label":
-                i, j = state.top
-                delta = 1 if self.gold_map.get((i, j)) == action.chain else -1
-            scored[action] = delta + self.best_future(
-                successor.boundaries, successor.midpoint is not None
+        key = (state.boundaries, state.midpoint is not None)
+        if key not in self._memo:
+            self._memo[key] = (
+                0 if is_terminal(state) else max(self._scored(state).values())
             )
+        return self._memo[key]
+
+    def best_actions(self, state) -> set:
+        """argmax over legal actions of immediate delta plus best future."""
+        scored = self._scored(state)
         best = max(scored.values())
         return {action for action, value in scored.items() if value == best}
-
-
-def gold_map_of(tree) -> dict:
-    return {(s.start, s.end): s.chain for s in labeled_spans(tree)}
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +90,7 @@ def gold_map_of(tree) -> dict:
 def sample_states(tree, rng, walks=4):
     """Non-terminal states reachable by mixed oracle/random walks, with
     off-gold labeling included so mislabeled configurations get covered."""
-    gold_map = gold_map_of(tree)
+    gold_map = unit_gold_map(tree)
     chains = sorted(set(gold_map.values())) + ["ZZZ"]
     n = len(tree.tokens)
     states = []
@@ -147,18 +136,16 @@ def run_oracle_suite(
         tree = generate_synthetic(f"oracle-suite/{seed}/{doc}", max_tokens=max_tokens)
         doc += 1
         states, gold_map, chains = sample_states(tree, rng)
-        search = CompletionSearch(gold_map, len(tree.tokens))
+        search = CompletionSearch(gold_map, chains)
         for state in states:
-            expected_reach = search.best_future(
-                state.boundaries, state.midpoint is not None
-            )
+            expected_reach = search.best_future(state)
             got_reach = reachable_count(state, gold_map)
             if got_reach != expected_reach:
                 report.failures.append(
                     f"reachable_count {got_reach} != exhaustive {expected_reach} "
                     f"at {state}"
                 )
-            expected_set = search.best_actions(state, chains)
+            expected_set = search.best_actions(state)
             got_set = dynamic_oracle(state, gold_map)
             if got_set != expected_set:
                 report.failures.append(

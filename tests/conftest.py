@@ -3,6 +3,12 @@ import random
 
 import pytest
 
+from jointparse.transition import (
+    COMBINE_ACTION,
+    NO_LABEL_ACTION,
+    SHIFT_ACTION,
+    label_action,
+)
 from jointparse.trees import (
     FORMS,
     MULTI_NUCLEAR,
@@ -44,6 +50,17 @@ def perturb_labels(tree: JointTree, seed, rate=0.4) -> JointTree:
         return node
 
     return JointTree(list(tree.tokens), copy(tree.root))
+
+
+MNEMONICS = {"SH": SHIFT_ACTION, "CB": COMBINE_ACTION, "NL": NO_LABEL_ACTION}
+
+
+def parse_actions(text):
+    """Actions from the mnemonics that `format_actions` writes."""
+    return [
+        MNEMONICS[word] if word in MNEMONICS else label_action(word.removeprefix("L:"))
+        for word in text.split()
+    ]
 
 
 def fixture_text(name):

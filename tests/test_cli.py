@@ -161,6 +161,36 @@ class TestTrain:
         assert "wat" in stderr
 
 
+class TestInputValidation:
+    # An RST file reads as one bracketed document, but its tree breaks the
+    # joint-tree invariants.
+    def test_train_rejects_ill_formed_treebank(self, tmp_path, capsys):
+        treebank = tmp_path / "fig1.dis"
+        treebank.write_text(fixture_text("fig1.dis"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "model": {"word_dim": 4, "hidden_dim": 4, "scorer_hidden": 4},
+            "train": {"epochs": 1, "dev_size": 0},
+        }))
+        out = tmp_path / "out"
+        code, _out, stderr = run(
+            capsys, "train", "--config", str(config),
+            "--treebank", str(treebank), "--out", str(out),
+        )
+        assert code == 1
+        assert "document 1" in stderr and "multi-nuclear" in stderr
+        assert not (out / "best.ckpt").exists()
+
+    def test_eval_rejects_ill_formed_gold(self, tmp_path, capsys):
+        gold = tmp_path / "fig1.dis"
+        gold.write_text(fixture_text("fig1.dis"))
+        code, stdout, stderr = run(
+            capsys, "eval", "--gold", str(gold), "--pred", str(gold)
+        )
+        assert code == 1 and not stdout
+        assert "document 1" in stderr and "multi-nuclear" in stderr
+
+
 class TestParseAndEval:
     def test_parse_eval_round_trip(self, run_dir, tmp_path, capsys):
         base, treebank, out = run_dir

@@ -4,7 +4,8 @@ The definition is the argmax of `reachable_count` over the successors of a
 structural state.  States come from walks that mix oracle and random
 actions over synthetic documents (token units, and gold-EDU units with
 discourse-only gold as training builds it) and over random span sets that
-may cross.
+may cross.  On small documents the oracle also equals the exhaustive
+`CompletionSearch` at every decision the driver hands to a chooser.
 """
 
 import random
@@ -14,22 +15,21 @@ from hypothesis import strategies as st
 
 from jointparse.synthetic import generate_synthetic
 from jointparse.transition import (
+    STRUCTURAL_ACTIONS,
     apply_action,
     axiom,
+    derive,
     dynamic_oracle,
     gold_index,
     is_terminal,
     label_action,
     legal_actions,
     reachable_count,
-    unit_bounds,
+    slot_action,
+    unit_gold_map,
 )
-from jointparse.trees import (
-    LabeledSpan,
-    extract_edus,
-    is_discourse_chain,
-    labeled_spans,
-)
+from jointparse.trees import LabeledSpan, extract_edus, labeled_spans
+from jointparse.verify import CompletionSearch
 
 MAX_TOKENS = 60
 PROPERTY = settings(derandomize=True, max_examples=80, deadline=None)
@@ -75,13 +75,50 @@ def check_walk(n, gold_map, rng, follow):
 def test_matches_reference_on_synthetic_documents(seed, gold_edus, follow, rng):
     tree = generate_synthetic(f"oracle/{seed}", max_tokens=MAX_TOKENS, max_edus=8)
     edus = extract_edus(tree) if gold_edus else None
-    unit_of = {b: u for u, b in enumerate(unit_bounds(len(tree.tokens), edus))}
-    gold_map = {
-        (unit_of[span.start], unit_of[span.end]): span.chain
-        for span in labeled_spans(tree)
-        if edus is None or is_discourse_chain(span.chain)
-    }
-    check_walk(len(unit_of) - 1, gold_map, rng, follow)
+    units = len(edus) if gold_edus else len(tree.tokens)
+    check_walk(units, unit_gold_map(tree, edus), rng, follow)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 10**6),
+    gold_edus=st.booleans(),
+    follow=st.floats(0.0, 1.0),
+    rng=st.randoms(use_true_random=False),
+)
+def test_matches_completion_search_on_small_documents(seed, gold_edus, follow, rng):
+    # At most six units: six tokens, or six EDUs over longer documents.
+    if gold_edus:
+        tree = generate_synthetic(f"search/{seed}", max_tokens=14, max_edus=6)
+        edus = extract_edus(tree)
+    else:
+        tree = generate_synthetic(f"search/{seed}", max_tokens=6)
+        edus = None
+    gold_map = unit_gold_map(tree, edus)
+    chains = sorted(set(gold_map.values()) | {"S", "<-Purpose"})
+    inventory = [None, *chains]
+    search = CompletionSearch(gold_map, chains, gold_edus)
+    index = gold_index(gold_map)
+    checked = []
+
+    def choose(state, legal, actions):
+        expected = search.best_actions(state)
+        assert dynamic_oracle(state, index) == expected, state
+        checked.append(state)
+        pool = [k for k, a in enumerate(actions) if legal[k]]
+        if rng.random() < follow:
+            pool = [k for k in pool if actions[k] in expected]
+        return rng.choice(pool)
+
+    def structural(state, below, left, right, legal):
+        return choose(state, legal, STRUCTURAL_ACTIONS)
+
+    def label(state, left, mid, right, legal):
+        actions = [slot_action(inventory, k) for k in range(len(inventory))]
+        return choose(state, legal, actions)
+
+    derive(len(tree.tokens), inventory, structural, label, edus)
+    assert checked
 
 
 @st.composite

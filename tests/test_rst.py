@@ -41,7 +41,7 @@ def test_fig2_multinuclear(fig2_texts):
     assert satellite.nuclearity == "Satellite"
     assert satellite.relation == "Elaboration"
     assert len(satellite.children) == 3
-    assert satellite.is_multinuclear
+    assert all(c.nuclearity == "Nucleus" for c in satellite.children)
     assert {c.relation for c in satellite.children} == {"List"}
 
 

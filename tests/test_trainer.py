@@ -12,6 +12,8 @@ from jointparse.transition import (
     dynamic_oracle,
     is_terminal,
     legal_actions,
+    unit_bounds,
+    unit_gold_map,
 )
 from jointparse.trees import LabeledSpan, extract_edus, labeled_spans
 
@@ -52,19 +54,25 @@ class TestRollout:
             assert state.labeled == frozenset(labeled_spans(gold))
 
     def test_targets_are_legal_and_oracle_optimal(self, corpus, fresh):
+        # Legal under the shared rule, with the discourse-only label mask
+        # in gold-EDU mode.
         vocab, params = fresh
-        config = oracle_free_config(beta=0.3)
-        gold = corpus[0]
-        gold_spans = labeled_spans(gold)
-        _, trace = rollout(
-            gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(4)
-        )
-        for record in trace:
-            legal = legal_actions(record.state, vocab.chains)
-            oracle = dynamic_oracle(record.state, gold_spans)
-            assert record.target in oracle
-            assert record.target in legal
-            assert record.followed in legal
+        gold = next(d for d in corpus if len(extract_edus(d)) >= 3)
+        for mode, edus in (("end2end", None), ("goldedu", extract_edus(gold))):
+            config = oracle_free_config(beta=0.3, mode=mode)
+            gold_map = unit_gold_map(gold, edus)
+            _, trace = rollout(
+                gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(4)
+            )
+            labels = 0
+            for record in trace:
+                legal = legal_actions(record.state, vocab.chains, edus is not None)
+                oracle = dynamic_oracle(record.state, gold_map)
+                assert record.target in oracle
+                assert record.target in legal
+                assert record.followed in legal
+                labels += record.state.midpoint is not None
+            assert labels
 
     def test_fixed_seed_reproducible(self, corpus, fresh):
         vocab, params = fresh
@@ -107,7 +115,7 @@ class TestRollout:
             )
             final = apply_action(trace[-1].state, trace[-1].followed)
             assert is_terminal(final) and final.n == len(edus)
-            bounds = [span.start for span in edus] + [len(gold.tokens)]
+            bounds = unit_bounds(len(gold.tokens), edus)
             built = {
                 LabeledSpan(bounds[s.start], bounds[s.end], s.chain)
                 for s in final.labeled

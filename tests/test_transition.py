@@ -4,13 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import parse_actions
 from jointparse.synthetic import generate_synthetic
 from jointparse.transition import (
     COMBINE_ACTION,
-    LABELING,
     NO_LABEL_ACTION,
     SHIFT_ACTION,
-    STRUCTURAL,
     ParserState,
     TransitionError,
     apply_action,
@@ -21,15 +20,15 @@ from jointparse.transition import (
     is_root_span,
     is_terminal,
     label_action,
+    label_slots,
     legal_actions,
-    parse_actions,
+    legal_mask,
     parse_greedy,
-    phase,
     reachable_count,
     reconstruct,
     replay,
     static_oracle,
-    validate_state,
+    unit_gold_map,
 )
 from jointparse.trees import (
     EDU_PLACEHOLDER,
@@ -44,19 +43,28 @@ from jointparse.trees import (
 CHAINS = ("A", "S", "NP", "<-Purpose", "List")
 
 
+def check_state(state):
+    """The state invariants: boundaries strictly increase from (-1, 0) up to
+    at most n, and a midpoint lies inside the top span, or on the left
+    boundary of a shifted width-1 span."""
+    b = state.boundaries
+    assert b[:2] == (-1, 0) and list(b) == sorted(set(b)) and b[-1] <= state.n
+    if state.midpoint is not None:
+        i, j = state.top
+        assert i < state.midpoint < j or (state.midpoint == i and j == i + 1)
+
+
 class TestPhases:
     def test_axiom_is_structural(self):
-        assert phase(axiom(3)) == STRUCTURAL
+        assert axiom(3).midpoint is None
 
     def test_shift_enters_label_phase(self):
         state = apply_action(axiom(3), SHIFT_ACTION)
-        assert phase(state) == LABELING
         assert state.boundaries == (-1, 0, 1)
         assert state.midpoint == 0  # degenerate split of a width-1 span
 
     def test_nolabel_returns_to_structural(self):
         state = replay(3, parse_actions("SH NL"))
-        assert phase(state) == STRUCTURAL
         assert state.midpoint is None
 
     def test_alternation_along_random_walks(self):
@@ -64,16 +72,16 @@ class TestPhases:
         for _ in range(50):
             n = rng.randint(1, 6)
             state = axiom(n)
-            expected = STRUCTURAL
+            structural = True
             while not is_terminal(state):
-                assert phase(state) == expected
+                assert (state.midpoint is None) == structural
                 action = rng.choice(sorted(
                     legal_actions(state, CHAINS),
                     key=lambda a: (a.kind, a.chain or ""),
                 ))
                 state = apply_action(state, action)
-                validate_state(state)
-                expected = LABELING if expected == STRUCTURAL else STRUCTURAL
+                check_state(state)
+                structural = not structural
 
 
 class TestLegalActions:
@@ -102,6 +110,31 @@ class TestLegalActions:
         assert is_terminal(state)
         with pytest.raises(TransitionError):
             legal_actions(state)
+        with pytest.raises(TransitionError):
+            apply_action(state, SHIFT_ACTION)
+
+    def test_gold_edu_mode_opens_discourse_chains_only(self):
+        below_root = replay(3, parse_actions("SH NL SH NL CB"))
+        assert legal_actions(below_root, CHAINS, gold_edus=True) == {
+            NO_LABEL_ACTION, label_action("<-Purpose"), label_action("List"),
+        }
+        root = replay(2, parse_actions("SH NL SH NL CB"))
+        assert legal_actions(root, CHAINS, gold_edus=True) == {
+            label_action("<-Purpose"), label_action("List"),
+        }
+
+    def test_mask_matches_action_set(self):
+        # legal_mask and legal_actions are one rule in two shapes.
+        inventory = [None, *CHAINS]
+        slots = label_slots(inventory, gold_edus=True)
+        assert slots.tolist() == [True, False, False, False, True, True]
+        state = replay(3, parse_actions("SH NL SH NL"))
+        assert legal_mask(state, slots) == (True, True)
+        state = apply_action(state, COMBINE_ACTION)
+        mask = legal_mask(state, slots)
+        assert mask.tolist() == slots.tolist() and mask is not slots
+        root = replay(2, parse_actions("SH NL SH NL CB"))
+        assert legal_mask(root, slots).tolist() == [False] + slots.tolist()[1:]
 
 
 class TestApply:
@@ -130,6 +163,11 @@ class TestApply:
         root = replay(2, parse_actions("SH NL SH NL CB"))
         with pytest.raises(TransitionError):
             apply_action(root, NO_LABEL_ACTION)
+        for chainless in (label_action(None), label_action("")):
+            with pytest.raises(TransitionError):
+                apply_action(root, chainless)
+        with pytest.raises(TransitionError):
+            apply_action(axiom(2), label_action("S"))
 
 
 class TestStaticOracle:
@@ -453,10 +491,24 @@ class TestDerive:
 
 
 def test_mnemonic_round_trip():
-    actions = parse_actions("SH NL CB L:S+VP L:<-Purpose NL")
+    actions = [SHIFT_ACTION, NO_LABEL_ACTION, COMBINE_ACTION,
+               label_action("S+VP"), label_action("<-Purpose"), NO_LABEL_ACTION]
     assert format_actions(actions) == "SH NL CB L:S+VP L:<-Purpose NL"
-    with pytest.raises(TransitionError):
-        parse_actions("SH XX")
+    assert parse_actions(format_actions(actions)) == actions
+
+
+def test_unit_gold_map_in_both_unit_modes():
+    tree = generate_synthetic("units", max_tokens=16, max_edus=5)
+    assert unit_gold_map(tree) == {
+        (s.start, s.end): s.chain for s in labeled_spans(tree)
+    }
+    edus = extract_edus(tree)
+    starts = [e.start for e in edus] + [len(tree.tokens)]
+    assert unit_gold_map(tree, edus) == {
+        (starts.index(s.start), starts.index(s.end)): s.chain
+        for s in labeled_spans(tree)
+        if is_discourse_chain(s.chain)
+    }
 
 
 def test_state_is_value_like():

@@ -1,9 +1,9 @@
+from conftest import parse_actions
 from jointparse.model import LabelStep
-from jointparse.transition import axiom, parse_actions, replay
+from jointparse.transition import axiom, replay, unit_gold_map
 from jointparse.verify import (
     CompletionSearch,
     finite_difference_check,
-    gold_map_of,
     relative_error,
     run_gradcheck_suite,
     run_oracle_suite,
@@ -21,22 +21,20 @@ def test_relative_error_scaling():
 def test_completion_search_hand_case():
     # gold brackets: (0,2) and the root (0,3)
     gold = {(0, 2): "A", (0, 3): "S"}
-    search = CompletionSearch(gold, 3)
-    assert search.best_future((-1, 0), False) == 2
+    search = CompletionSearch(gold, ["A", "S"])
+    assert search.best_future(axiom(3)) == 2
     # after shifting all three tokens individually, (0,2) is dead
     state = replay(3, parse_actions("SH NL SH NL SH NL"))
-    assert search.best_future(state.boundaries, False) == 1
+    assert search.best_future(state) == 1
 
 
 def test_completion_search_label_actions():
     gold = {(0, 2): "A", (0, 3): "S"}
-    search = CompletionSearch(gold, 3)
+    search = CompletionSearch(gold, ["A", "B", "S"])
     state = replay(3, parse_actions("SH NL SH NL CB"))  # labeling (0, 2)
-    best = search.best_actions(state, ["A", "B", "S"])
-    assert {a.mnemonic() for a in best} == {"L:A"}
+    assert {a.mnemonic() for a in search.best_actions(state)} == {"L:A"}
     off_gold = replay(3, parse_actions("SH NL SH"))  # labeling (1, 2)
-    best = search.best_actions(off_gold, ["A", "B", "S"])
-    assert {a.mnemonic() for a in best} == {"NL"}
+    assert {a.mnemonic() for a in search.best_actions(off_gold)} == {"NL"}
 
 
 def test_sample_states_covers_off_gold_paths():
@@ -46,7 +44,7 @@ def test_sample_states_covers_off_gold_paths():
     states, gold_map, chains = sample_states(tree, random.Random(0), walks=6)
     assert states
     assert "ZZZ" in chains
-    assert gold_map == gold_map_of(tree)
+    assert gold_map == unit_gold_map(tree)
 
 
 def test_oracle_suite_small():
@@ -105,12 +103,10 @@ def test_finite_difference_flags_wrong_gradient(monkeypatch):
 
 def test_reachable_count_matches_search_on_axiom():
     tree = generate_synthetic("axiom/1", max_tokens=6)
-    gold_map = gold_map_of(tree)
-    search = CompletionSearch(gold_map, len(tree.tokens))
+    gold_map = unit_gold_map(tree)
+    search = CompletionSearch(gold_map, sorted(set(gold_map.values())))
     from jointparse.transition import reachable_count
 
     state = axiom(len(tree.tokens))
-    assert reachable_count(state, gold_map) == search.best_future(
-        state.boundaries, False
-    )
+    assert reachable_count(state, gold_map) == search.best_future(state)
     assert reachable_count(state, gold_map) == len(gold_map)
