@@ -58,13 +58,13 @@ def main():
     # A document whose second EDU covers two subtrees: the cover node takes
     # the label of their lowest common ancestor, and the out-of-EDU sibling
     # surfaces above the relation.
-    from jointparse.convert import SkeletonLeaf, SkeletonNode
+    from jointparse.convert import SkeletonLeaf
     from jointparse.ptb import read_ptb
-    from jointparse.trees import DiscourseLabel, SATELLITE_THEN_NUCLEUS
+    from jointparse.trees import DiscourseLabel, Internal, SATELLITE_THEN_NUCLEUS
 
-    skeleton = SkeletonNode(
+    skeleton = Internal(
         DiscourseLabel("Purpose", SATELLITE_THEN_NUCLEUS),
-        [SkeletonLeaf(0, "B"), SkeletonLeaf(1, "C D")],
+        [SkeletonLeaf("B"), SkeletonLeaf("C D")],
     )
     spliced = convert.splice_edus(skeleton, read_ptb("(A B C D)"))
     print()

@@ -23,10 +23,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-VALIDATION_ERRORS = (ValueError, OSError, json.JSONDecodeError)
+VALIDATION_ERRORS = (ValueError, OSError)  # json.JSONDecodeError is a ValueError
 
 
-class ValidationFailure(Exception):
+class ValidationFailure(ValueError):
     pass
 
 
@@ -336,14 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Tree walkers recurse to tree depth; long documents need headroom.
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationFailure as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
     except VALIDATION_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -5,10 +5,11 @@ whose leaves are EDU placeholders, align each EDU's text against the
 constituency-tree tokens, then splice the covering constituency subtrees in
 place of the EDU leaves.  Brackets that cross EDU boundaries do not survive;
 when one EDU covers several maximal subtrees they are regrouped under a new
-node labeled with their lowest common ancestor's category.
+node labeled with their lowest common ancestor's category.  Every step walks
+its trees with explicit stacks, so documents of any depth convert.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ptb
 from .rst import SATELLITE, RstLeaf, RstTree, read_rst
@@ -22,8 +23,6 @@ from .trees import (
     JointTree,
     Leaf,
     SyntacticLabel,
-    leaf_tokens,
-    span_of,
     validate_tree,
 )
 
@@ -34,48 +33,26 @@ class AlignmentError(ValueError):
 
 @dataclass
 class SkeletonLeaf:
-    edu_index: int
+    """An EDU placeholder in a skeleton, whose internal nodes are `Internal`
+    nodes with discourse labels."""
+
     text: str
 
 
-@dataclass
-class SkeletonNode:
-    label: DiscourseLabel
-    children: list = field(default_factory=list)
-
-
-Skeleton = SkeletonLeaf | SkeletonNode
-
-
-def skeleton_edus(skeleton) -> list:
-    """The skeleton's EDU leaves, in document order."""
-    out = []
-
-    def walk(node):
-        if isinstance(node, SkeletonLeaf):
-            out.append(node)
-        else:
-            for child in node.children:
-                walk(child)
-
-    walk(skeleton)
-    return out
-
-
-def convert_rst(rst: RstTree) -> Skeleton:
+def convert_rst(rst: RstTree) -> SkeletonLeaf | Internal:
     """Relabel a discourse tree into a joint-tree skeleton.
 
     Binary nucleus/satellite nodes become directional relation labels with
     the arrow pointing from the satellite toward the nucleus; conjunctive
     nodes keep all their children under the bare relation name.
     """
-    counter = [0]
-
-    def walk(node):
+    top = [None]
+    stack = [(rst.root, top, 0)]  # node to copy, and the slot its copy fills
+    while stack:
+        node, slots, k = stack.pop()
         if isinstance(node, RstLeaf):
-            leaf = SkeletonLeaf(counter[0], node.text)
-            counter[0] += 1
-            return leaf
+            slots[k] = SkeletonLeaf(node.text)
+            continue
         kinds = [c.nuclearity for c in node.children]
         if SATELLITE in kinds:
             satellite = node.children[kinds.index(SATELLITE)]
@@ -87,9 +64,9 @@ def convert_rst(rst: RstTree) -> Skeleton:
             label = DiscourseLabel(satellite.relation, form)
         else:
             label = DiscourseLabel(node.children[0].relation, MULTI_NUCLEAR)
-        return SkeletonNode(label, [walk(c) for c in node.children])
-
-    return walk(rst.root)
+        slots[k] = Internal(label, list(node.children))
+        stack.extend((c, slots[k].children, i) for i, c in enumerate(node.children))
+    return top[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,83 +122,93 @@ def splice_edus(skeleton, ptb_trees) -> JointTree:
     ancestor dominated lies outside the EDU and surfaces above the discourse
     node through its own EDU instead.
     """
-    tokens = []
-    for tree in ptb_trees:
-        tokens.extend(leaf_tokens(tree))
+    # Copy the skeleton, noting each EDU leaf's slot in document order.
+    top = [None]
+    edus = []  # (text, children list, index) per EDU leaf
+    stack = [(skeleton, top, 0)]
+    while stack:
+        node, slots, k = stack.pop()
+        if isinstance(node, SkeletonLeaf):
+            edus.append((node.text, slots, k))
+        else:
+            copy = slots[k] = Internal(node.label, list(node.children))
+            for i in reversed(range(len(copy.children))):
+                stack.append((copy.children[i], copy.children, i))
+
+    extent, tokens = _extents(ptb_trees)
     if [t.index for t in tokens] != list(range(len(tokens))):
         raise AlignmentError("constituency trees are not consecutively indexed")
     if not tokens:
         raise AlignmentError("no constituency tokens to splice")
+    spans = align_edus([text for text, _, _ in edus], tokens)
 
-    edus = skeleton_edus(skeleton)
-    spans = align_edus([e.text for e in edus], tokens)
-    subtree_by_edu = {
-        e.edu_index: _edu_subtree(ptb_trees, span)
-        for e, span in zip(edus, spans)
-    }
+    # Pre-order: a node inside one EDU is a maximal piece of it, since its
+    # parent was not; a node reaching past its first token's EDU is split.
+    # Spans tile the tokens, so a one-token leaf never reaches past.
+    edu_of = [k for k, span in enumerate(spans) for _ in range(span.start, span.end)]
+    pieces = [[] for _ in spans]
+    owners = [None] * len(spans)
+    for root in ptb_trees:
+        # An EDU that starts before this tree does spans two trees.
+        first = spans[edu_of[extent[id(root)][0]]]
+        if first.start != extent[id(root)][0]:
+            raise AlignmentError(
+                f"EDU {first} crosses a sentence boundary; no common ancestor"
+            )
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            start, end = extent[id(node)]
+            k = edu_of[start]
+            if end <= spans[k].end:
+                pieces[k].append(node)
+                owners[k] = root
+            else:
+                stack.extend(reversed(node.children))
 
-    def build(node):
-        if isinstance(node, SkeletonLeaf):
-            return subtree_by_edu[node.edu_index]
-        return Internal(node.label, [build(c) for c in node.children])
-
-    tree = JointTree(tokens, build(skeleton))
+    for (_, slots, k), span, nodes, root in zip(edus, spans, pieces, owners):
+        if len(nodes) == 1:
+            slots[k] = nodes[0]
+        else:
+            lca = _lowest_common_ancestor(root, span, extent)
+            slots[k] = Internal(SyntacticLabel(lca.label.name), nodes)
+    tree = JointTree(tokens, top[0])
     validate_tree(tree)
     return tree
 
 
-def _edu_subtree(ptb_trees, span):
-    pieces = []
-    owners = []
-    for root in ptb_trees:
-        _collect_cover(root, span, root, pieces, owners)
-    if not pieces:
-        raise AlignmentError(f"no constituency material under {span}")
-    if len(pieces) == 1:
-        return pieces[0]
-    if any(owner is not owners[0] for owner in owners):
-        raise AlignmentError(
-            f"EDU {span} crosses a sentence boundary; no common ancestor"
-        )
-    lca = _lowest_common_ancestor(owners[0], span)
-    return Internal(SyntacticLabel(lca.label.name), pieces)
+def _extents(roots):
+    """Every node's (start, end) token extent, keyed by the node's id, from
+    one post-order pass; and the trees' tokens in order."""
+    extent = {}
+    tokens = []
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Leaf):
+            extent[id(node)] = (len(tokens), len(tokens) + 1)
+            tokens.append(node.token)
+        elif children_done:
+            first, last = node.children[0], node.children[-1]
+            extent[id(node)] = (extent[id(first)][0], extent[id(last)][1])
+        else:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children))
+    return extent, tokens
 
 
-def _collect_cover(node, span, owner, pieces, owners):
-    """Maximal nodes whose extent fits inside the span, in order."""
-    start, end = _extent(node)
-    if end <= span.start or start >= span.end:
-        return
-    if span.start <= start and end <= span.end:
-        pieces.append(node)
-        owners.append(owner)
-        return
-    if isinstance(node, Leaf):
-        raise AlignmentError(f"token {node.token!r} straddles EDU {span}")
-    for child in node.children:
-        _collect_cover(child, span, owner, pieces, owners)
-
-
-def _extent(node):
-    if isinstance(node, Leaf):
-        return node.token.index, node.token.index + 1
-    return span_of(node)
-
-
-def _lowest_common_ancestor(root, span):
+def _lowest_common_ancestor(root, span, extent):
+    """The deepest node under `root` whose extent holds the whole span.  The
+    span covers at least two maximal pieces, so no leaf holds it."""
     node = root
     while True:
-        if isinstance(node, Leaf):
-            raise AlignmentError(f"no internal node dominates {span}")
-        narrower = None
         for child in node.children:
-            start, end = _extent(child)
+            start, end = extent[id(child)]
             if start <= span.start and span.end <= end:
-                narrower = child
+                node = child
                 break
-        if narrower is None or isinstance(narrower, Leaf):
+        else:
             return node
-        node = narrower
 
 
 # ---------------------------------------------------------------------------

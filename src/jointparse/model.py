@@ -385,7 +385,7 @@ def _encoder_backward(params, enc: Encoding, dF_out) -> dict:
 # scoring heads
 
 
-def _head_forward(params, enc, head, positions, hmask):
+def _head_hidden(params, enc, head, positions, hmask):
     pre = params[f"{head}.b1"]
     for rows, p in zip(enc.heads[head], positions):
         if p >= 0:  # the sentinel boundary -1 reads a zero vector
@@ -393,19 +393,7 @@ def _head_forward(params, enc, head, positions, hmask):
     hidden = np.maximum(pre, 0.0)
     if hmask is not None:
         hidden = hidden * hmask
-    return pre, hidden
-
-
-def _scalar_score(params, enc, head, positions, hmask):
-    pre, hidden = _head_forward(params, enc, head, positions, hmask)
-    score = params[f"{head}.w2"] @ hidden + params[f"{head}.b2"][0]
-    return score, (positions, pre, hidden)
-
-
-def _label_score(params, enc, positions, hmask):
-    pre, hidden = _head_forward(params, enc, "label", positions, hmask)
-    scores = params["label.W2"] @ hidden + params["label.b2"]
-    return scores, (positions, pre, hidden)
+    return hidden
 
 
 # Per head: the step fields holding the boundaries it reads, and its mask.
@@ -515,19 +503,20 @@ class LabelStep:
 def structural_raw_scores(params, enc, below, left, right,
                           hmask_shift=None, hmask_combine=None):
     """Unmasked (shift, combine) scores of the top span (left, right) over
-    the span starting at `below`, and each head's (positions, pre-activation,
-    hidden) values."""
-    s_sh, cache_sh = _scalar_score(params, enc, "shift", (left, right), hmask_shift)
-    s_cb, cache_cb = _scalar_score(
-        params, enc, "combine", (below, left, right), hmask_combine
-    )
-    return np.array([s_sh, s_cb]), (cache_sh, cache_cb)
+    the span starting at `below`."""
+    h_sh = _head_hidden(params, enc, "shift", (left, right), hmask_shift)
+    h_cb = _head_hidden(params, enc, "combine", (below, left, right), hmask_combine)
+    return np.array([
+        params["shift.w2"] @ h_sh + params["shift.b2"][0],
+        params["combine.w2"] @ h_cb + params["combine.b2"][0],
+    ])
 
 
 def label_raw_scores(params, enc, left, mid, right, hmask=None):
     """Unmasked scores over the label slots of the span (left, right) split
-    at `mid`, and the head's (positions, pre-activation, hidden) values."""
-    return _label_score(params, enc, (left, mid, right), hmask)
+    at `mid`."""
+    hidden = _head_hidden(params, enc, "label", (left, mid, right), hmask)
+    return params["label.W2"] @ hidden + params["label.b2"]
 
 
 def _masked_nll(scores, legal, target):
@@ -611,10 +600,10 @@ class SpanScorer:
         self.enc.boundary = None
 
     def structural(self, below, left, right):
-        return structural_raw_scores(self.params, self.enc, below, left, right)[0]
+        return structural_raw_scores(self.params, self.enc, below, left, right)
 
     def labels(self, left, mid, right):
-        return label_raw_scores(self.params, self.enc, left, mid, right)[0]
+        return label_raw_scores(self.params, self.enc, left, mid, right)
 
     def inventory(self):
         return self.vocab.inventory()

@@ -69,21 +69,22 @@ def read_ptb(text: str):
     """Parse every tree in ``text`` into constituency nodes over Tokens.
 
     Token indices run consecutively across all trees, so a multi-sentence
-    document gets one shared token numbering.  Returns a list of root nodes.
+    document gets one shared token numbering.  Atoms inside a trace form
+    take no index, since the form is removed.  Returns a list of root nodes.
     """
-    counter = [0]
+    count = 0  # tokens indexed so far
+    traces = 0  # open -NONE- forms
     trees = []
     stack = []  # [(label, children, line, col), ...]
-    last = (1, 1)
 
     for value, line, col in _lex(text):
-        last = (line, col)
         if value == "(":
             stack.append([None, [], line, col])
         elif value == ")":
             if not stack:
                 raise PtbParseError("unbalanced ')'", line, col)
             label, children, oline, ocol = stack.pop()
+            traces -= label == TRACE_LABEL
             node = _close(label, children, oline, ocol)
             if stack:
                 stack[-1][1].append(node)
@@ -94,14 +95,13 @@ def read_ptb(text: str):
                 raise PtbParseError(f"stray token {value!r}", line, col)
             if stack[-1][0] is None and not stack[-1][1]:
                 stack[-1][0] = value
+                traces += value == TRACE_LABEL
             else:
-                tok = Token(counter[0], unescape_token(value))
-                counter[0] += 1
-                stack[-1][1].append(Leaf(tok))
+                stack[-1][1].append(Leaf(Token(count, unescape_token(value))))
+                count += not traces
 
     if stack:
         raise PtbParseError("unbalanced '('", stack[-1][2], stack[-1][3])
-    _renumber(trees)
     return trees
 
 
@@ -124,19 +124,3 @@ def _close(label, children, line, col):
         raise PtbParseError(f"empty constituent ({label})", line, col)
     return Internal(SyntacticLabel(label), children)
 
-
-def _renumber(trees):
-    """Reassign consecutive token indices (trace removal leaves gaps)."""
-    index = 0
-
-    def walk(node):
-        nonlocal index
-        if isinstance(node, Leaf):
-            node.token = Token(index, node.token.text)
-            index += 1
-        else:
-            for child in node.children:
-                walk(child)
-
-    for tree in trees:
-        walk(tree)

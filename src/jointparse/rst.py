@@ -48,21 +48,10 @@ class RstNode:
 class RstTree:
     root: "RstNode | RstLeaf"
 
-    def edus(self):
-        out = []
-
-        def walk(node):
-            if isinstance(node, RstLeaf):
-                out.append(node)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return out
-
 
 _LEX_RE = re.compile(r"\(|\)|_!.*?!_|[^()\s]+", re.DOTALL)
+
+_NODE_KINDS = ("Root", NUCLEUS, SATELLITE)
 
 
 def _lex(text):
@@ -71,78 +60,81 @@ def _lex(text):
 
 
 def read_rst(text: str) -> RstTree:
-    """Parse one ``.dis``-style discourse tree."""
+    """Parse one ``.dis``-style discourse tree.
+
+    Node forms are read with a stack of open forms, so documents of any
+    nesting depth parse without recursion.  Each node is built, and its
+    nuclearity invariants checked, when its form closes.
+    """
     tokens = list(_lex(text))
     if not tokens:
         raise RstParseError("empty input")
-    pos, node = _parse_node(tokens, 0)
+    if tokens[0] != "(":
+        raise RstParseError(f"expected '(', found {tokens[0]!r}")
+    if len(tokens) < 2:
+        raise RstParseError("unexpected end of input")
+    if tokens[1] not in _NODE_KINDS:
+        raise RstParseError(f"unknown node type {tokens[1]!r}")
+    # Open forms, innermost last: [kind, relation, text, children].
+    stack = [[tokens[1], None, None, []]]
+    pos = 2
+    while stack:
+        if pos >= len(tokens):
+            raise RstParseError("unbalanced '('")
+        tok = tokens[pos]
+        form = stack[-1]
+        if tok == ")":
+            node = _close(*stack.pop())
+            if stack:
+                stack[-1][3].append(node)
+            pos += 1
+            continue
+        if tok != "(":
+            raise RstParseError(f"unexpected token {tok!r}")
+        head = tokens[pos + 1] if pos + 1 < len(tokens) else None
+        if head in ("span", "leaf"):
+            pos = _skip_form(tokens, pos)  # span indices are recomputable
+        elif head == "rel2par":
+            if pos + 3 >= len(tokens) or tokens[pos + 3] != ")":
+                raise RstParseError("malformed rel2par")
+            form[1] = tokens[pos + 2]
+            pos += 4
+        elif head == "text":
+            if pos + 3 >= len(tokens) or tokens[pos + 3] != ")":
+                raise RstParseError("malformed text form")
+            raw = tokens[pos + 2]
+            if not (raw.startswith("_!") and raw.endswith("!_")):
+                raise RstParseError(f"EDU text not _!..!_ delimited: {raw!r}")
+            form[2] = raw[2:-2]
+            pos += 4
+        elif head in _NODE_KINDS:
+            stack.append([head, None, None, []])
+            pos += 2
+        else:
+            raise RstParseError(f"unknown form {head!r}")
     if pos != len(tokens):
         raise RstParseError(f"trailing material after tree: {tokens[pos]!r}")
-    if isinstance(node, (RstLeaf, RstNode)):
-        return RstTree(_validated(node))
-    raise RstParseError("top-level form is not a discourse node")
+    return RstTree(node)
 
 
-def _parse_node(tokens, pos):
-    if tokens[pos] != "(":
-        raise RstParseError(f"expected '(', found {tokens[pos]!r}")
-    pos += 1
-    if pos >= len(tokens):
-        raise RstParseError("unexpected end of input")
-    kind = tokens[pos]
-    pos += 1
-    if kind not in ("Root", NUCLEUS, SATELLITE):
-        raise RstParseError(f"unknown node type {kind!r}")
-
-    relation = None
-    text = None
-    children = []
-    while pos < len(tokens) and tokens[pos] != ")":
-        tok = tokens[pos]
-        if tok == "(":
-            head = tokens[pos + 1] if pos + 1 < len(tokens) else None
-            if head in ("span", "leaf"):
-                pos = _skip_form(tokens, pos)  # span indices are recomputable
-            elif head == "rel2par":
-                if pos + 3 >= len(tokens) or tokens[pos + 3] != ")":
-                    raise RstParseError("malformed rel2par")
-                relation = tokens[pos + 2]
-                pos += 4
-            elif head == "text":
-                if pos + 3 >= len(tokens) or tokens[pos + 3] != ")":
-                    raise RstParseError("malformed text form")
-                raw = tokens[pos + 2]
-                if not (raw.startswith("_!") and raw.endswith("!_")):
-                    raise RstParseError(f"EDU text not _!..!_ delimited: {raw!r}")
-                text = raw[2:-2]
-                pos += 4
-            elif head in ("Root", NUCLEUS, SATELLITE):
-                pos, child = _parse_node(tokens, pos)
-                children.append(child)
-            else:
-                raise RstParseError(f"unknown form {head!r}")
-        else:
-            raise RstParseError(f"unexpected token {tok!r}")
-    if pos >= len(tokens):
-        raise RstParseError("unbalanced '('")
-    pos += 1  # closing paren
-
+def _close(kind, relation, text, children):
+    """The node of a finished form, once its own and its children's
+    nuclearity and relations check out."""
     if kind != "Root" and relation is None:
         raise RstStructureError(f"{kind} node without rel2par relation")
-    relation = None if relation == SPAN_RELATION else relation
-
     if text is not None:
         if children:
             raise RstParseError("leaf with children")
         node = RstLeaf(text=text)
     elif children:
+        _check_nuclearity(children)
         node = RstNode(children=children)
     else:
         raise RstParseError(f"{kind} node with neither text nor children")
     if kind != "Root":
         node.nuclearity = kind
-        node.relation = relation
-    return pos, node
+        node.relation = None if relation == SPAN_RELATION else relation
+    return node
 
 
 def _skip_form(tokens, pos):
@@ -158,23 +150,21 @@ def _skip_form(tokens, pos):
     raise RstParseError("unbalanced '(' in span/leaf form")
 
 
-def _validated(node):
-    """Enforce nuclearity invariants on every internal node."""
-    if isinstance(node, RstLeaf):
-        return node
-    kinds = [c.nuclearity for c in node.children]
+def _check_nuclearity(children):
+    """Enforce the nuclearity invariants on an internal node's children."""
+    kinds = [c.nuclearity for c in children]
     n_nuc = kinds.count(NUCLEUS)
     n_sat = kinds.count(SATELLITE)
-    if len(node.children) < 2:
+    if len(children) < 2:
         raise RstStructureError("internal discourse node with a single child")
     if n_sat == 0:
-        relations = {c.relation for c in node.children}
+        relations = {c.relation for c in children}
         if len(relations) != 1 or None in relations:
             raise RstStructureError(
                 f"multi-nuclear children disagree on relation: {sorted(map(str, relations))}"
             )
     elif n_sat == 1 and n_nuc == 1:
-        satellite = node.children[kinds.index(SATELLITE)]
+        satellite = children[kinds.index(SATELLITE)]
         if satellite.relation is None:
             raise RstStructureError("satellite without a relation")
     elif n_sat >= 2:
@@ -183,6 +173,3 @@ def _validated(node):
         raise RstStructureError(
             f"unsupported nuclearity pattern: {n_nuc} nuclei, {n_sat} satellites"
         )
-    for child in node.children:
-        _validated(child)
-    return node

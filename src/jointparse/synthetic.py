@@ -45,15 +45,18 @@ BINARY_RELATIONS = (
 
 MULTINUCLEAR_RELATIONS = ("List", "Sequence", "Contrast", "Joint")
 
+# Per-draw probabilities: a discourse node being multi-nuclear, a unary
+# constituent above a node, and a preterminal above a single token.
+P_MULTINUCLEAR = 0.3
+P_UNARY = 0.15
+P_PRETERMINAL = 0.7
+
 
 def generate_synthetic(
     seed,
     max_tokens: int = 24,
     max_edus: int = 5,
     vocabulary=WORDS,
-    p_multinuclear: float = 0.3,
-    p_unary: float = 0.15,
-    p_preterminal: float = 0.7,
 ) -> JointTree:
     """One reproducible random joint tree; identical for identical arguments."""
     if max_tokens < 1:
@@ -72,7 +75,7 @@ def generate_synthetic(
     def syntactic(start, end, force_node):
         width = end - start
         if width == 1:
-            if force_node or rng.random() < p_preterminal:
+            if force_node or rng.random() < P_PRETERMINAL:
                 node = Internal(
                     SyntacticLabel(rng.choice(PRETERMINALS)), [Leaf(tokens[start])]
                 )
@@ -86,7 +89,7 @@ def generate_synthetic(
                 syntactic(a, b, False) for a, b in zip(edges[:-1], edges[1:])
             ]
             node = Internal(SyntacticLabel(rng.choice(SYNTACTIC_LABELS)), children)
-        while rng.random() < p_unary:
+        while rng.random() < P_UNARY:
             node = Internal(SyntacticLabel(rng.choice(SYNTACTIC_LABELS)), [node])
         return node
 
@@ -95,7 +98,7 @@ def generate_synthetic(
         if count == 1:
             start, end = edu_ranges[lo]
             return syntactic(start, end, True)
-        if count >= 2 and rng.random() < p_multinuclear:
+        if count >= 2 and rng.random() < P_MULTINUCLEAR:
             arity = rng.randint(2, min(4, count))
             label = DiscourseLabel(rng.choice(MULTINUCLEAR_RELATIONS), MULTI_NUCLEAR)
         else:

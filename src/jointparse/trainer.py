@@ -126,7 +126,7 @@ def rollout(gold, params, vocab, model_config, config, rng):
 
     def structural(state, below, left, right, legal):
         hmasks = hidden_mask(), hidden_mask()
-        scores, _ = structural_raw_scores(params, enc, below, left, right, *hmasks)
+        scores = structural_raw_scores(params, enc, below, left, right, *hmasks)
         scores = np.where(legal, scores, -np.inf)
         oracle = dynamic_oracle(state, index)
         target = max(
@@ -147,7 +147,7 @@ def rollout(gold, params, vocab, model_config, config, rng):
         if not legal[target]:
             raise TrainingDiverged(f"gold tree has no legal label for span {state.top}")
         steps.append(LabelStep(left, mid, right, legal, target, hmask))
-        scores, _ = label_raw_scores(params, enc, left, mid, right, hmask)
+        scores = label_raw_scores(params, enc, left, mid, right, hmask)
         followed = follow(np.where(legal, scores, -np.inf), target)
         trace.append(RolloutStep(
             state, slot_action(chains, target), slot_action(chains, followed)

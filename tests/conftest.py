@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 
 import pytest
 
@@ -12,10 +13,13 @@ from jointparse.transition import (
 from jointparse.trees import (
     FORMS,
     MULTI_NUCLEAR,
+    NUCLEUS_THEN_SATELLITE,
     DiscourseLabel,
     Internal,
     JointTree,
+    Leaf,
     SyntacticLabel,
+    Token,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -86,3 +90,45 @@ def fig1_expected():
 @pytest.fixture
 def fig2_expected():
     return fixture_text("fig2_expected.joint").strip()
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Pin the interpreter's default recursion limit for the test, so code
+    that recurses once per tree level fails on the deep trees below."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def deep_tree(depth):
+    """`depth` right-branching discourse nodes, each over a one-token EDU with
+    a unary chain, above a `depth`-deep right-branching constituency chain:
+    2 * depth + 1 tokens, nested about 2 * depth levels deep."""
+    n = 2 * depth + 1
+    tokens = [Token(i, f"w{i}") for i in range(n)]
+    leaves = [Leaf(t) for t in tokens]
+    elab = DiscourseLabel("Elaboration", NUCLEUS_THEN_SATELLITE)
+    node = Internal(SyntacticLabel("NP"), leaves[n - 2 :])
+    for k in range(n - 3, depth - 1, -1):
+        node = Internal(SyntacticLabel("NP"), [leaves[k], node])
+    for k in range(depth - 1, -1, -1):
+        edu = Internal(SyntacticLabel("S"), [Internal(SyntacticLabel("VP"), [leaves[k]])])
+        node = Internal(elab, [edu, node])
+    return JointTree(tokens, node)
+
+
+def assert_same_tree(got, expect):
+    """`got == expect`, checked level by level: dataclass equality recurses
+    once per level and would itself hit the recursion limit."""
+    assert got.tokens == expect.tokens
+    stack = [(got.root, expect.root)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(b, Leaf):
+            assert a == b
+            continue
+        assert isinstance(a, Internal) and a.label == b.label
+        assert len(a.children) == len(b.children)
+        stack.extend(zip(a.children, b.children))

@@ -1,40 +1,58 @@
 import pytest
 
+from conftest import assert_same_tree, deep_tree
+from jointparse import cli
 from jointparse.convert import (
     AlignmentError,
     align_edus,
     convert_document,
     convert_rst,
     corpus_stats,
-    skeleton_edus,
     splice_edus,
     SkeletonLeaf,
-    SkeletonNode,
 )
 from jointparse.ptb import read_ptb
 from jointparse.rst import read_rst
-from jointparse.serialize import write_joint
+from jointparse.serialize import read_treebank, write_joint
 from jointparse.synthetic import generate_synthetic
 from jointparse.trees import (
     MULTI_NUCLEAR,
     NUCLEUS_THEN_SATELLITE,
     SATELLITE_THEN_NUCLEUS,
+    DiscourseLabel,
+    Internal,
     Token,
     extract_edus,
     leaf_tokens,
 )
 
 
+def skeleton_edus(skeleton):
+    """The skeleton's EDU leaf texts, in document order."""
+    texts = []
+    stack = [skeleton]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SkeletonLeaf):
+            texts.append(node.text)
+        else:
+            stack.extend(reversed(node.children))
+    return texts
+
+
 class TestConvertRst:
     def test_fig1_skeleton(self, fig1_texts):
         skeleton = convert_rst(read_rst(fig1_texts[0]))
-        assert isinstance(skeleton, SkeletonNode)
+        assert isinstance(skeleton, Internal)
         assert skeleton.label.relation == "Background"
         assert skeleton.label.form == SATELLITE_THEN_NUCLEUS
         inner = skeleton.children[1]
         assert inner.label.relation == "Purpose"
         assert inner.label.form == NUCLEUS_THEN_SATELLITE
-        assert len(skeleton_edus(skeleton)) == 3
+        edus = skeleton_edus(skeleton)
+        assert len(edus) == 3
+        assert edus[0].startswith("Costa Rica")
+        assert edus[2].startswith("in order to")
 
     def test_fig2_skeleton_keeps_arity(self, fig2_texts):
         skeleton = convert_rst(read_rst(fig2_texts[0]))
@@ -48,7 +66,7 @@ class TestConvertRst:
 
     def test_single_edu(self):
         skeleton = convert_rst(read_rst("( Root (leaf 1) (text _!just one!_))"))
-        assert isinstance(skeleton, SkeletonLeaf)
+        assert skeleton == SkeletonLeaf("just one")
 
 
 class TestAlignment:
@@ -94,16 +112,13 @@ class TestSplice:
     def test_multi_subtree_edu_gets_lca_cover(self):
         # EDU C-D covers two maximal subtrees inside (A B C D); the cover
         # node reuses the ancestor label and B surfaces above it.
-        skeleton = SkeletonNode(
-            label=_purpose_right(),
-            children=[SkeletonLeaf(0, "B"), SkeletonLeaf(1, "C D")],
-        )
+        skeleton = Internal(_purpose_right(), [SkeletonLeaf("B"), SkeletonLeaf("C D")])
         trees = read_ptb("(A B C D)")
         tree = splice_edus(skeleton, trees)
         assert write_joint(tree) == "(Purpose-> B (A C D))"
 
     def test_single_edu_document_is_unchanged_ptb(self):
-        skeleton = SkeletonLeaf(0, "a b c")
+        skeleton = SkeletonLeaf("a b c")
         trees = read_ptb("(S (NP a b) (VP c))")
         tree = splice_edus(skeleton, trees)
         assert tree.root == trees[0]
@@ -113,44 +128,34 @@ class TestSplice:
         # Take a synthetic joint tree apart into its discourse skeleton and
         # its EDU constituency subtrees, splice them back together, and the
         # original tree (hence its segmentation) must reappear.
-        from jointparse.trees import DiscourseLabel, Internal
-
-        def disassemble(node, edus, parts):
+        def disassemble(node, parts):
             if isinstance(node, Internal) and isinstance(node.label, DiscourseLabel):
-                children = [disassemble(c, edus, parts) for c in node.children]
-                return SkeletonNode(node.label, children)
+                children = [disassemble(c, parts) for c in node.children]
+                return Internal(node.label, children)
             parts.append(node)
-            text = " ".join(t.text for t in leaf_tokens(node))
-            leaf = SkeletonLeaf(len(edus), text)
-            edus.append(leaf)
-            return leaf
+            return SkeletonLeaf(" ".join(t.text for t in leaf_tokens(node)))
 
         for k in range(40):
             tree = generate_synthetic(f"splice/{k}", max_tokens=16, max_edus=4)
-            edus, parts = [], []
-            skeleton = disassemble(tree.root, edus, parts)
+            parts = []
+            skeleton = disassemble(tree.root, parts)
             rebuilt = splice_edus(skeleton, parts)
             assert rebuilt == tree
             assert extract_edus(rebuilt) == extract_edus(tree)
 
     def test_edu_across_sentences_rejected(self):
-        skeleton = SkeletonNode(
-            label=_purpose_right(),
-            children=[SkeletonLeaf(0, "a b"), SkeletonLeaf(1, "c")],
-        )
+        skeleton = Internal(_purpose_right(), [SkeletonLeaf("a b"), SkeletonLeaf("c")])
         trees = read_ptb("(S (X a)) (S (Y b) (Z c))")
         with pytest.raises(AlignmentError, match="sentence boundary"):
             splice_edus(skeleton, trees)
 
     def test_missing_material_rejected(self):
-        skeleton = SkeletonLeaf(0, "a b")
+        skeleton = SkeletonLeaf("a b")
         with pytest.raises(AlignmentError):
             splice_edus(skeleton, [])
 
 
 def _purpose_right():
-    from jointparse.trees import DiscourseLabel
-
     return DiscourseLabel("Purpose", SATELLITE_THEN_NUCLEUS)
 
 
@@ -176,3 +181,47 @@ class TestCorpusStats:
 def test_document_token_indices_are_consecutive(fig1_texts):
     tree = convert_document(*fig1_texts)
     assert [t.index for t in leaf_tokens(tree.root)] == list(range(24))
+
+
+def deep_sources(depth):
+    """The .dis and .mrg texts that `deep_tree(depth)` is merged from: one
+    sentence per EDU, the discourse chain nested `depth` forms deep and the
+    last sentence's NP chain about as deep again."""
+    n = 2 * depth + 1
+    last = " ".join(f"w{k}" for k in range(depth, n))
+    dis = (
+        "( Root "
+        + "".join(
+            f"(Nucleus (leaf {k + 1}) (rel2par span) (text _!w{k}!_)) "
+            "(Satellite (rel2par Elaboration) "
+            for k in range(depth)
+        )
+        + f"(text _!{last}!_)"
+        + ")" * (depth + 1)
+    )
+    sentences = [f"( (S (VP w{k})) )" for k in range(depth)]
+    chain = "".join(f"(NP w{k} " for k in range(depth, n - 2))
+    sentences.append(f"( {chain}(NP w{n - 2} w{n - 1}){')' * (n - 2 - depth)} )")
+    return dis, "\n".join(sentences)
+
+
+def test_deep_document_converts_at_default_recursion_limit(default_recursion_limit):
+    dis, mrg = deep_sources(1500)
+    assert_same_tree(convert_document(dis, mrg), deep_tree(1500))
+
+
+def test_cli_converts_deep_document_at_default_recursion_limit(
+    default_recursion_limit, tmp_path, capsys
+):
+    dis, mrg = deep_sources(1500)
+    for folder, name, text in (("rst", "doc.dis", dis), ("ptb", "doc.mrg", mrg)):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "out.joint"
+    code = cli.main([
+        "convert", "--ptb", str(tmp_path / "ptb"), "--rst", str(tmp_path / "rst"),
+        "--out", str(out),
+    ])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    [tree] = read_treebank(out)
+    assert_same_tree(tree, deep_tree(1500))

@@ -271,7 +271,7 @@ class TestEncode:
                 ]
                 got = structural_raw_scores(
                     params, enc, below, left, right, hmask_shift, hmask_combine
-                )[0]
+                )
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
                 if masks is None:
                     got = scorer.structural(below, left, right)
@@ -282,7 +282,7 @@ class TestEncode:
                 expected = _reference_score(
                     params, boundary, "label", (left, mid, right), label_hmask
                 )
-                got = label_raw_scores(params, enc, left, mid, right, label_hmask)[0]
+                got = label_raw_scores(params, enc, left, mid, right, label_hmask)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
                 if masks is None:
                     got = scorer.labels(left, mid, right)

@@ -16,7 +16,7 @@ def test_fig1_layout(fig1_texts):
     assert isinstance(root, RstNode)
     internal = [n for n in _walk(root) if isinstance(n, RstNode)]
     assert len(internal) == 2
-    edus = tree.edus()
+    edus = [n for n in _walk(root) if isinstance(n, RstLeaf)]
     assert len(edus) == 3
     assert edus[0].text.startswith("Costa Rica")
     assert edus[0].nuclearity == "Satellite"

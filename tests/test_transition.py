@@ -1,5 +1,4 @@
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -287,15 +286,10 @@ class TestReconstruct:
         with pytest.raises(TransitionError, match="root"):
             reconstruct({LabeledSpan(0, 1, "A")}, ["x", "y"])
 
-    def test_deep_nesting_at_default_recursion_limit(self):
+    def test_deep_nesting_at_default_recursion_limit(self, default_recursion_limit):
         depth = 1500
         spans = {LabeledSpan(k, depth, "S") for k in range(depth - 1)}
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            tree = reconstruct(spans, ["w"] * depth)
-        finally:
-            sys.setrecursionlimit(limit)
+        tree = reconstruct(spans, ["w"] * depth)
         node = tree.root
         for k in range(depth - 2):
             assert node.label.name == "S"

@@ -1,7 +1,6 @@
-import sys
-
 import pytest
 
+from conftest import assert_same_tree, deep_tree
 from jointparse import serialize
 from jointparse.transition import reconstruct, replay, static_oracle
 from jointparse.trees import (
@@ -153,48 +152,14 @@ class TestValidate:
             serialize.write_joint(tree_over(root, 2))
 
 
-def deep_tree(depth):
-    """`depth` right-branching discourse nodes, each over a one-token EDU with
-    a unary chain, above a `depth`-deep right-branching constituency chain:
-    2 * depth + 1 tokens, nested about 2 * depth levels deep."""
-    n = 2 * depth + 1
-    elab = DiscourseLabel("Elaboration", NUCLEUS_THEN_SATELLITE)
-    node = syn("NP", *leaves(n - 2, n - 1))
-    for k in range(n - 3, depth - 1, -1):
-        node = syn("NP", *leaves(k), node)
-    for k in range(depth - 1, -1, -1):
-        node = Internal(elab, [syn("S", syn("VP", *leaves(k))), node])
-    return tree_over(node, n)
-
-
-def assert_same_tree(got, expect):
-    """`got == expect`, checked level by level: dataclass equality recurses
-    once per level and would itself hit the recursion limit."""
-    assert got.tokens == expect.tokens
-    stack = [(got.root, expect.root)]
-    while stack:
-        a, b = stack.pop()
-        if isinstance(b, Leaf):
-            assert a == b
-            continue
-        assert isinstance(a, Internal) and a.label == b.label
-        assert len(a.children) == len(b.children)
-        stack.extend(zip(a.children, b.children))
-
-
-def test_walkers_on_deep_tree_at_default_recursion_limit():
+def test_walkers_on_deep_tree_at_default_recursion_limit(default_recursion_limit):
     depth = 750
     n = 2 * depth + 1
     tree = deep_tree(depth)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        validate_tree(tree)
-        tokens = leaf_tokens(tree.root)
-        spans = labeled_spans(tree)
-        edus = extract_edus(tree)
-    finally:
-        sys.setrecursionlimit(limit)
+    validate_tree(tree)
+    tokens = leaf_tokens(tree.root)
+    spans = labeled_spans(tree)
+    edus = extract_edus(tree)
     assert tokens == tree.tokens
     assert spans == (
         {LabeledSpan(k, n, "<-Elaboration") for k in range(depth)}
@@ -206,17 +171,14 @@ def test_walkers_on_deep_tree_at_default_recursion_limit():
     )
 
 
-def test_joint_format_and_static_oracle_on_deep_tree_at_default_recursion_limit():
+def test_joint_format_and_static_oracle_on_deep_tree_at_default_recursion_limit(
+    default_recursion_limit,
+):
     tree = deep_tree(750)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        back = serialize.read_joint(serialize.write_joint(tree))
-        validate_tree(back)
-        state = replay(len(tree.tokens), static_oracle(tree))
-        rebuilt = reconstruct(state.labeled, tree.tokens)
-        spans = labeled_spans(rebuilt)
-    finally:
-        sys.setrecursionlimit(limit)
+    back = serialize.read_joint(serialize.write_joint(tree))
+    validate_tree(back)
+    state = replay(len(tree.tokens), static_oracle(tree))
+    rebuilt = reconstruct(state.labeled, tree.tokens)
+    spans = labeled_spans(rebuilt)
     assert_same_tree(back, tree)
     assert spans == labeled_spans(tree)
