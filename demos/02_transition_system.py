@@ -2,8 +2,11 @@
 
 The stack holds only boundary indices.  Structural steps and labeling
 steps alternate; the retained midpoint of the newest span marks the
-labeling phase and feeds the relation scorer.
+labeling phase and feeds the relation scorer.  Exits non-zero if replaying
+the static oracle's derivation does not rebuild the gold tree.
 """
+
+import sys
 
 from jointparse import generate_synthetic
 from jointparse.transition import (
@@ -48,6 +51,7 @@ def main():
 
     final = replay(len(tree.tokens), actions)
     rebuilt = reconstruct(final.labeled, tree.tokens)
+    round_trip = is_terminal(final) and rebuilt == tree
     print("replay terminal:", is_terminal(final))
     print("reconstruction equals the gold tree:", rebuilt == tree)
     print()
@@ -64,7 +68,8 @@ def main():
           sorted(a.mnemonic() for a in dynamic_oracle(state, gold)))
     print("legal actions here:",
           sorted(a.mnemonic() for a in legal_actions(state, ["S", "NP"])))
+    return 0 if round_trip else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

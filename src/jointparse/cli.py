@@ -71,13 +71,13 @@ def load_run_config(path) -> dict:
 # convert
 
 
-def _find_ptb_for(stem, ptb_dir):
-    matches = []
+def _ptb_files_by_stem(ptb_dir) -> dict:
+    """Every file under `ptb_dir`, from one walk: stem -> sorted full paths."""
+    by_stem = {}
     for root, _dirs, files in os.walk(ptb_dir):
-        for name in sorted(files):
-            if name.split(".")[0] == stem:
-                matches.append(os.path.join(root, name))
-    return sorted(matches)
+        for name in files:
+            by_stem.setdefault(name.split(".")[0], []).append(os.path.join(root, name))
+    return {stem: sorted(paths) for stem, paths in by_stem.items()}
 
 
 def cmd_convert(args) -> int:
@@ -87,13 +87,14 @@ def cmd_convert(args) -> int:
             os.path.join(root, name) for name in files if name.endswith(".dis")
         )
     rst_files.sort()
+    ptb_files = _ptb_files_by_stem(args.ptb)
 
     converted = []
     dropped = []
     diagnostics = []
     for rst_path in rst_files:
         stem = os.path.basename(rst_path).split(".")[0]
-        ptb_matches = _find_ptb_for(stem, args.ptb)
+        ptb_matches = ptb_files.get(stem)
         if not ptb_matches:
             diagnostics.append(f"{rst_path}: no constituency file for {stem!r}")
             continue

@@ -26,12 +26,13 @@ one structural action is open, and `verify.CompletionSearch` expands
 states through `legal_actions` and `successor`.
 
 One driver, `derive`, runs every derivation: greedy decoding
-(`parse_greedy`) and the trainer's oracle rollouts.  It runs over units,
-which are the tokens, or the EDUs when gold EDUs are given; shifting then
-advances a whole EDU, whose label is fixed to a placeholder without a
-choice (`unit_bounds` maps units to tokens, and `unit_gold_map` puts gold
-spans into unit positions).  The driver hands `legal_mask` to a chooser
-callback for each decision and takes the chosen action unchecked:
+(`parse_greedy`), the trainer's oracle rollouts, and the static oracle
+(`static_oracle`), whose gold labels must pass `legal_mask`.  It runs
+over units, which are the tokens, or the EDUs when gold EDUs are given;
+shifting then advances a whole EDU, whose label is fixed to a placeholder
+without a choice (`unit_bounds` maps units to tokens, and `unit_gold_map`
+puts gold spans into unit positions).  The driver hands `legal_mask` to a
+chooser callback for each decision and takes the chosen action unchecked:
 
 * ``choose_structural(state, below, left, right, legal)`` for shift or
   combine, where ``legal`` is the pair (can shift, can combine) and the
@@ -231,67 +232,6 @@ def _gold_map(gold_spans) -> dict:
     if isinstance(gold_spans, dict):
         return gold_spans
     return {(s.start, s.end): s.chain for s in gold_spans}
-
-
-def static_oracle(gold: JointTree) -> list:
-    """The canonical derivation of a gold tree: left-to-right post-order,
-    combining eagerly, with no-label at the internal merge points of nodes
-    with more than two children (no binarization happens anywhere)."""
-    if isinstance(gold.root, Leaf):
-        raise TransitionError("gold tree must have a labeled root")
-    gold_map = _gold_map(labeled_spans(gold))
-    n = len(gold.tokens)
-    children = _laminar_children(gold_map, n)
-    actions = []
-    stack = [(0, n)]  # extents to derive, and the actions that follow them
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Action):
-            actions.append(item)
-            continue
-        chain = gold_map.get(item)
-        label = label_action(chain) if chain else NO_LABEL_ACTION
-        if item[1] - item[0] == 1:
-            actions += (SHIFT_ACTION, label)
-            continue
-        parts = children[item]
-        stack += (label, COMBINE_ACTION, parts[-1])
-        for part in reversed(parts[1:-1]):
-            stack += (NO_LABEL_ACTION, COMBINE_ACTION, part)
-        stack.append(parts[0])
-    return actions
-
-
-def _laminar_children(gold_map, n: int) -> dict:
-    """Maximal sub-extents for each gold extent, padded with width-1 pieces."""
-    extents = sorted(gold_map, key=lambda e: (e[0], -e[1]))
-    if (0, n) not in gold_map:
-        raise TransitionError("gold spans lack a root-covering span")
-    children = {}
-    stack = []
-    for extent in extents:
-        while stack and stack[-1][1] <= extent[0]:
-            stack.pop()
-        if stack:
-            if extent[1] > stack[-1][1]:
-                raise TransitionError(f"crossing spans {stack[-1]} and {extent}")
-            children.setdefault(stack[-1], []).append(extent)
-        stack.append(extent)
-    # Fill uncovered positions with width-1 pieces and sort each child list.
-    out = {}
-    for extent in extents:
-        if extent[1] - extent[0] == 1:
-            continue
-        parts = sorted(children.get(extent, []))
-        filled = []
-        pos = extent[0]
-        for part in parts:
-            filled.extend((q, q + 1) for q in range(pos, part[0]))
-            filled.append(part)
-            pos = part[1]
-        filled.extend((q, q + 1) for q in range(pos, extent[1]))
-        out[extent] = filled
-    return out
 
 
 def reachable_count(state: ParserState, gold_spans) -> int:
@@ -501,6 +441,40 @@ def derive(n, chains, choose_structural, choose_label, edu_spans=None) -> set:
             action = slot_action(chains, pick)
         state = successor(state, action)
     return {LabeledSpan(at(s.start), at(s.end), s.chain) for s in state.labeled}
+
+
+def static_oracle(gold: JointTree) -> list:
+    """The canonical derivation of a gold tree: left-to-right post-order,
+    combining eagerly, with no-label at the internal merge points of nodes
+    with more than two children (no binarization happens anywhere).
+
+    It is `derive` with two recording choosers: combine whenever the
+    dynamic oracle allows it, else shift, and label each span with its gold
+    chain or no-label.  A gold label that `legal_mask` closes raises.
+    """
+    if isinstance(gold.root, Leaf):
+        raise TransitionError("gold tree must have a labeled root")
+    gold_map = unit_gold_map(gold)
+    index = gold_index(gold_map)
+    chains = [None, *sorted(set(gold_map.values()))]
+    slot_of = {chain: k for k, chain in enumerate(chains)}
+    actions = []
+
+    def structural(state, below, left, right, legal):
+        pick = int(COMBINE_ACTION in dynamic_oracle(state, index))
+        actions.append(STRUCTURAL_ACTIONS[pick])
+        return pick
+
+    def label(state, left, mid, right, legal):
+        pick = slot_of[gold_map.get(state.top)]
+        action = slot_action(chains, pick)
+        if not legal[pick]:
+            raise TransitionError(f"{action.mnemonic()} is illegal on {state.top}")
+        actions.append(action)
+        return pick
+
+    derive(len(gold.tokens), chains, structural, label)
+    return actions
 
 
 def parse_greedy(scorer, words, edu_spans=None) -> JointTree:

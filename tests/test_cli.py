@@ -93,6 +93,30 @@ class TestConvert:
         assert json.loads(stdout)["dropped"] == 1
         assert "doc3" in dropped.read_text()
 
+    def test_first_sorted_path_of_a_stem_is_converted(
+        self, corpora, tmp_path, capsys
+    ):
+        # Three files share the stem doc1; the walk meets the top-level one
+        # first, but the first sorted full path is ptb/a/doc1.mrg.
+        rst_dir, ptb_dir = corpora
+        for sub in ("a", "z"):
+            (ptb_dir / sub).mkdir()
+        (ptb_dir / "a" / "doc1.mrg").write_text(fixture_text("fig1.mrg"))
+        (ptb_dir / "doc1.mrg").write_text("(S (X a))")
+        (ptb_dir / "z" / "doc1.mrg").write_text("(S (X a))")
+        out = tmp_path / "joint.txt"
+        code, stdout, stderr = run(
+            capsys, "convert", "--ptb", str(ptb_dir), "--rst", str(rst_dir),
+            "--out", str(out),
+        )
+        assert (code, stderr) == (0, "")
+        assert json.loads(stdout)["dropped"] == 0
+        trees = serialize.read_treebank(out)
+        assert {serialize.write_joint(t) for t in trees} == {
+            fixture_text("fig1_expected.joint").strip(),
+            fixture_text("fig2_expected.joint").strip(),
+        }
+
     def test_unreadable_document_fails_with_diagnostics(
         self, corpora, tmp_path, capsys
     ):

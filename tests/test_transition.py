@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import parse_actions
+from jointparse import transition
 from jointparse.synthetic import generate_synthetic
 from jointparse.transition import (
     COMBINE_ACTION,
@@ -32,8 +33,10 @@ from jointparse.transition import (
 from jointparse.trees import (
     EDU_PLACEHOLDER,
     EduSpan,
+    JointTree,
     LabeledSpan,
     Leaf,
+    Token,
     extract_edus,
     is_discourse_chain,
     labeled_spans,
@@ -194,6 +197,25 @@ class TestStaticOracle:
             final = replay(len(tree.tokens), static_oracle(tree))
             assert is_terminal(final)
             assert reconstruct(final.labeled, tree.tokens) == tree
+
+    def test_leaf_root_raises(self):
+        token = Token(0, "x")
+        with pytest.raises(TransitionError, match="labeled root"):
+            static_oracle(JointTree([token], Leaf(token)))
+
+    def test_gold_labels_must_pass_the_legal_mask(self, monkeypatch):
+        # The gold path goes through `derive`, so a label slot that
+        # `legal_mask` closes is an error rather than a silent action.
+        tree = reconstruct({LabeledSpan(0, 2, "A")}, ["x", "y"])
+        open_mask = transition.legal_mask
+
+        def no_labels(state, slots):
+            legal = open_mask(state, slots)
+            return legal if state.midpoint is None else np.zeros_like(legal)
+
+        monkeypatch.setattr(transition, "legal_mask", no_labels)
+        with pytest.raises(TransitionError, match="illegal"):
+            static_oracle(tree)
 
     def test_counts(self):
         tree = generate_synthetic("counts", max_tokens=12)
