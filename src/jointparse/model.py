@@ -18,9 +18,15 @@ every block once; a step's pre-activation is then a sum of two or three
 projected rows, and backward collects per-boundary gradients that one
 matrix product per block turns into weight and feature gradients.
 
+Each LSTM's forward stores only its hidden states and cells, 2H floats per
+token.  Its backward recomputes the gates from the stored states, the input
+projection plus one matrix product against the recurrent weights over all
+steps, and tanh(c) from the stored cells, so the memory of training grows
+linearly with document length.
+
 The per-step work left in Python loops is kept to few numpy calls.  The
-recurrence writes into preallocated rows and computes all four gates with
-one tanh, using sigmoid(z) = tanh(z/2)/2 + 1/2 on rows pre-scaled by 1/2.
+recurrence writes into reused rows and computes all four gates with one
+tanh, using sigmoid(z) = tanh(z/2)/2 + 1/2 on rows pre-scaled by 1/2.
 The loss stacks its steps by kind, in fixed-size blocks: one gather of
 projected rows, one product per head for the scores and for the output
 layer's gradients, and one scatter of the pre-activation gradients into
@@ -189,53 +195,70 @@ class _LstmCache:
     xs: np.ndarray          # (n, in_dim)
     states: np.ndarray      # (n+1, H); states[t] = hidden after t inputs
     cells: np.ndarray       # (n+1, H)
-    gates: np.ndarray       # (n, 4H): sigmoid i, f, o and tanh g per step
-    tanh_cells: np.ndarray  # (n, H)
 
 
-def _lstm_forward(Wx, Wh, b, xs) -> _LstmCache:
-    n = xs.shape[0]
+def _halved(params, name, xs):
+    """LSTM `name`'s input projection of every step and its recurrent
+    weights, with the i, f and o rows halved for `_activate`."""
+    Wh = params[f"{name}.Wh"]
     H = Wh.shape[1]
-    # sigmoid(z) = tanh(z/2)/2 + 1/2.  Halving the i, f and o pre-activations
-    # is exact in binary floating point, so one tanh over all 4H per step
-    # yields every gate; the first 3H are then mapped onto (0, 1) in place.
-    inputs = xs @ Wx.T + b
+    inputs = xs @ params[f"{name}.Wx"].T + params[f"{name}.b"]
     inputs[:, : 3 * H] *= 0.5
     Wh = Wh.copy()
     Wh[: 3 * H] *= 0.5
+    return inputs, Wh
+
+
+def _activate(z):
+    """The gates from halved pre-activations, in place along the last axis:
+    tanh g, and sigmoid i, f and o as sigmoid(z) = tanh(z/2)/2 + 1/2.
+    Halving is exact in binary floating point, so one tanh yields all four."""
+    np.tanh(z, out=z)
+    s = z[..., : 3 * (z.shape[-1] // 4)]
+    s *= 0.5
+    s += 0.5
+    return z
+
+
+def _lstm_forward(params, name, xs) -> _LstmCache:
+    """Run LSTM `name` over `xs`, keeping only its hidden states and cells:
+    each step's gates and tanh(c) live in rows reused across steps."""
+    n = xs.shape[0]
+    inputs, Wh = _halved(params, name, xs)
+    H = Wh.shape[1]
     states = np.zeros((n + 1, H))
     cells = np.zeros((n + 1, H))
-    gates = np.empty((n, 4 * H))
-    tanh_cells = np.empty((n, H))
-    i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
-    ig = np.empty(H)
+    z = np.empty(4 * H)
+    i, f, o, g = (z[k * H : (k + 1) * H] for k in range(4))
+    ig, tanh_cell = np.empty(H), np.empty(H)
     for t in range(n):
-        z = gates[t]
         np.dot(Wh, states[t], out=z)
         z += inputs[t]
-        np.tanh(z, out=z)
-        s = z[: 3 * H]
-        s *= 0.5
-        s += 0.5
-        np.multiply(f[t], cells[t], out=cells[t + 1])
-        np.multiply(i[t], g[t], out=ig)
+        _activate(z)
+        np.multiply(f, cells[t], out=cells[t + 1])
+        np.multiply(i, g, out=ig)
         cells[t + 1] += ig
-        np.tanh(cells[t + 1], out=tanh_cells[t])
-        np.multiply(o[t], tanh_cells[t], out=states[t + 1])
-    return _LstmCache(xs, states, cells, gates, tanh_cells)
+        np.tanh(cells[t + 1], out=tanh_cell)
+        np.multiply(o, tanh_cell, out=states[t + 1])
+    return _LstmCache(xs, states, cells)
 
 
-def _lstm_backward(Wx, Wh, cache, d_states):
-    """Backpropagate through the whole run.
+def _lstm_backward(params, name, cache, d_states, grads):
+    """Backpropagate through a whole run of LSTM `name`.
 
-    `d_states` holds the external gradient arriving at each hidden state
-    (boundary reads plus next-layer inputs).  Returns the input gradients
-    and the parameter gradients.
+    The gates are recomputed from the stored states, with one matrix product
+    over all steps in place of the forward's per-step products, and tanh(c)
+    from the stored cells.  `d_states` holds the external gradient arriving
+    at each hidden state (boundary reads plus next-layer inputs).  Stores
+    the parameter gradients in `grads` and returns the input gradients.
     """
     n = cache.xs.shape[0]
+    Wh = params[f"{name}.Wh"]
     H = Wh.shape[1]
-    i, f, o, g = np.split(cache.gates, 4, axis=1)
-    tc = cache.tanh_cells
+    gates, Wh_half = _halved(params, name, cache.xs)
+    gates += cache.states[:-1] @ Wh_half.T
+    i, f, o, g = np.split(_activate(gates), 4, axis=1)
+    tc = np.tanh(cache.cells[1:])
     # Row t of dZ starts as step t's local derivatives, the factors that
     # scale the cell gradient into the i, f and g blocks and the hidden
     # gradient into the o block; the loop scales them in place.
@@ -259,7 +282,10 @@ def _lstm_backward(Wx, Wh, cache, d_states):
         dz[3] *= dc
         np.dot(dZ[t], Wh, out=dh)
         dc *= f[t]
-    return dZ @ Wx, dZ.T @ cache.xs, dZ.T @ cache.states[:-1], dZ.sum(axis=0)
+    grads[f"{name}.Wx"] = dZ.T @ cache.xs
+    grads[f"{name}.Wh"] = dZ.T @ cache.states[:-1]
+    grads[f"{name}.b"] = dZ.sum(axis=0)
+    return dZ @ params[f"{name}.Wx"]
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +339,19 @@ def encode(params, ids, masks: DropoutMasks | None = None) -> Encoding:
     if n == 0:
         raise ModelError("cannot encode an empty document")
     E = params["embed"][ids]
-    c1f = _lstm_forward(params["lstm1f.Wx"], params["lstm1f.Wh"], params["lstm1f.b"], E)
-    c1b = _lstm_forward(
-        params["lstm1b.Wx"], params["lstm1b.Wh"], params["lstm1b.b"], E[::-1]
-    )
+    c1f = _lstm_forward(params, "lstm1f", E)
+    c1b = _lstm_forward(params, "lstm1b", E[::-1])
     out1 = np.concatenate([c1f.states[1:], c1b.states[1:][::-1]], axis=1)
     if masks is not None:
         out1 *= masks.layer1
-    c2f = _lstm_forward(
-        params["lstm2f.Wx"], params["lstm2f.Wh"], params["lstm2f.b"], out1
-    )
-    c2b = _lstm_forward(
-        params["lstm2b.Wx"], params["lstm2b.Wh"], params["lstm2b.b"], out1[::-1]
-    )
+    c2f = _lstm_forward(params, "lstm2f", out1)
+    c2b = _lstm_forward(params, "lstm2b", out1[::-1])
     F = np.concatenate(
         [c1f.states, c1b.states[::-1], c2f.states, c2b.states[::-1]], axis=1
     )
     if masks is not None:
         F *= masks.features
-    caches = {"l1f": c1f, "l1b": c1b, "l2f": c2f, "l2b": c2b}
+    caches = {"lstm1f": c1f, "lstm1b": c1b, "lstm2f": c2f, "lstm2b": c2b}
     D = F.shape[1]
     heads = {
         head: [
@@ -350,32 +370,19 @@ def _encoder_backward(params, enc: Encoding, dF_out) -> dict:
     grads = {}
     dF = dF_out * enc.masks.features if enc.masks is not None else dF_out
 
+    def backward(name, d_states):
+        return _lstm_backward(params, name, enc.caches.pop(name), d_states, grads)
+
     d2f = dF[:, 2 * H : 3 * H].copy()
     d2b = dF[:, 3 * H : 4 * H][::-1].copy()
-    d_out1d_f, grads["lstm2f.Wx"], grads["lstm2f.Wh"], grads["lstm2f.b"] = (
-        _lstm_backward(
-            params["lstm2f.Wx"], params["lstm2f.Wh"], enc.caches.pop("l2f"), d2f
-        )
-    )
-    d_out1d_b, grads["lstm2b.Wx"], grads["lstm2b.Wh"], grads["lstm2b.b"] = (
-        _lstm_backward(
-            params["lstm2b.Wx"], params["lstm2b.Wh"], enc.caches.pop("l2b"), d2b
-        )
-    )
-    d_out1d = d_out1d_f + d_out1d_b[::-1]
+    d_out1d = backward("lstm2f", d2f) + backward("lstm2b", d2b)[::-1]
     d_out1 = d_out1d * enc.masks.layer1 if enc.masks is not None else d_out1d
 
     d1f = dF[:, 0:H].copy()
     d1f[1:] += d_out1[:, :H]
     d1b = dF[:, H : 2 * H][::-1].copy()
     d1b[1:] += d_out1[::-1, H:]
-    dE_f, grads["lstm1f.Wx"], grads["lstm1f.Wh"], grads["lstm1f.b"] = _lstm_backward(
-        params["lstm1f.Wx"], params["lstm1f.Wh"], enc.caches.pop("l1f"), d1f
-    )
-    dE_b, grads["lstm1b.Wx"], grads["lstm1b.Wh"], grads["lstm1b.b"] = _lstm_backward(
-        params["lstm1b.Wx"], params["lstm1b.Wh"], enc.caches.pop("l1b"), d1b
-    )
-    dE = dE_f + dE_b[::-1]
+    dE = backward("lstm1f", d1f) + backward("lstm1b", d1b)[::-1]
     grads["embed"] = np.zeros_like(params["embed"])
     np.add.at(grads["embed"], enc.ids, dE)
     return grads
@@ -574,7 +581,7 @@ def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
         )
 
     dF = _projection_backward(params, grads, enc, dheads)
-    del dheads, enc.heads  # free the projected rows before the encoder's backward
+    del dheads, enc.heads, enc.boundary  # free them before the encoder's backward
     grads.update(_encoder_backward(params, enc, dF))
     return float(running[-1]) if scored else 0.0, {key: grads[key] for key in params}
 

@@ -22,12 +22,13 @@ class JointParseError(ValueError):
     pass
 
 
-def write_joint(tree: JointTree) -> str:
-    """Render a joint tree as a single bracketed line."""
+def write_joint(tree: JointTree, heads=None) -> str:
+    """Render a joint tree as a single bracketed line.  `heads` caches each
+    label's checked "(<label>" across calls, one per `write_treebank` file."""
     if isinstance(tree.root, Leaf):
         # A bare token has no bracketed form of its own.
         raise JointParseError("cannot serialize a tree whose root is a bare token")
-    heads = {}  # label -> "(<label>", checked once per call
+    heads = {} if heads is None else heads
     parts = []  # joined by spaces; a closing bracket joins the part before it
     stack = [tree.root]  # nodes still to write, and their closing brackets
     while stack:
@@ -98,9 +99,10 @@ def _read_block(text: str, labels: dict) -> JointTree:
 
 
 def write_treebank(trees, path) -> None:
+    heads = {}
     with open(path, "w", encoding="utf-8") as handle:
         for tree in trees:
-            handle.write(write_joint(tree) + "\n\n")
+            handle.write(write_joint(tree, heads) + "\n\n")
 
 
 def read_treebank(path) -> list:

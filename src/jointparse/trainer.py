@@ -42,7 +42,6 @@ from .transition import (
     dynamic_oracle,
     gold_index,
     parse_greedy,
-    slot_action,
     unit_gold_map,
 )
 from .trees import extract_edus
@@ -75,13 +74,6 @@ class TrainConfig:
 
 
 @dataclass
-class RolloutStep:
-    state: object
-    target: object    # the oracle action the loss pushes toward
-    followed: object  # the action actually taken
-
-
-@dataclass
 class TrainingExample:
     ids: np.ndarray
     steps: list
@@ -103,10 +95,10 @@ def _token_ids(gold, vocab, config, rng):
 
 
 def rollout(gold, params, vocab, model_config, config, rng):
-    """One pass over a document; returns (TrainingExample, [RolloutStep]).
-
-    The trace's states are over units: tokens, or EDUs in gold-EDU mode,
-    where only discourse spans are targets."""
+    """One pass over a document; returns its TrainingExample, the per-step
+    targets and the dropout masks the loss needs, and keeps nothing else.
+    Steps run over units: tokens, or EDUs in gold-EDU mode, where only
+    discourse spans are targets."""
     n = len(gold.tokens)
     edus = extract_edus(gold) if config.mode == GOLD_EDU else None
     gold_map = unit_gold_map(gold, edus)
@@ -114,8 +106,10 @@ def rollout(gold, params, vocab, model_config, config, rng):
     ids = _token_ids(gold, vocab, config, rng)
     masks = make_dropout_masks(n, model_config, config.dropout, rng)
     enc = encode(params, ids, masks)
-    chains = vocab.inventory()
-    steps, trace = [], []
+    # The choosers read only the projected head rows.
+    enc.caches.clear()
+    enc.boundary = None
+    steps = []
 
     def hidden_mask():
         return sample_hidden_mask(model_config, config.dropout, rng)
@@ -134,11 +128,7 @@ def rollout(gold, params, vocab, model_config, config, rng):
             key=lambda k: scores[k],
         )
         steps.append(StructuralStep(below, left, right, legal, target, *hmasks))
-        followed = follow(scores, target)
-        trace.append(RolloutStep(
-            state, STRUCTURAL_ACTIONS[target], STRUCTURAL_ACTIONS[followed]
-        ))
-        return followed
+        return follow(scores, target)
 
     def label(state, left, mid, right, legal):
         hmask = hidden_mask()
@@ -148,14 +138,10 @@ def rollout(gold, params, vocab, model_config, config, rng):
             raise TrainingDiverged(f"gold tree has no legal label for span {state.top}")
         steps.append(LabelStep(left, mid, right, legal, target, hmask))
         scores = label_raw_scores(params, enc, left, mid, right, hmask)
-        followed = follow(np.where(legal, scores, -np.inf), target)
-        trace.append(RolloutStep(
-            state, slot_action(chains, target), slot_action(chains, followed)
-        ))
-        return followed
+        return follow(np.where(legal, scores, -np.inf), target)
 
-    derive(n, chains, structural, label, edus)
-    return TrainingExample(ids, steps, masks), trace
+    derive(n, vocab.inventory(), structural, label, edus)
+    return TrainingExample(ids, steps, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +266,7 @@ def train(
         total_loss = 0.0
         for doc_index in rng.permutation(len(train_docs)):
             gold = train_docs[doc_index]
-            example, _ = rollout(gold, params, vocab, model_config, config, rng)
+            example = rollout(gold, params, vocab, model_config, config, rng)
             if not example.steps:
                 continue  # single-EDU document in gold-EDU mode: fully forced
             try:
@@ -293,6 +279,8 @@ def train(
                 ) from err
             total_loss += loss
             adam.update(params, grads)
+        # Free the last document's arrays before dev decoding.
+        example = grads = None
 
         metrics = dev_metrics(params, vocab, dev_docs, config.mode)
         entry = {
@@ -317,7 +305,10 @@ def train(
         if metrics[selection] >= result.best_f1:
             result.best_f1 = metrics[selection]
             result.best_epoch = epoch
-            result.params = {k: v.copy() for k, v in params.items()}
+            if result.params is params:  # once, in the freed gradients' place
+                result.params = {k: np.empty_like(v) for k, v in params.items()}
+            for key, array in params.items():
+                np.copyto(result.params[key], array)
             if out_dir is not None:
                 shutil.copyfile(epoch_path, f"{out_dir}/best.ckpt")
     return result

@@ -234,11 +234,10 @@ def _oracle_examples(n_docs, seed, dropout=0.0):
         beta=1.0, dropout=dropout, unk_replace=0.0, dev_size=0, seed=seed
     )
     rng = np.random.default_rng(seed + 1)
-    examples = []
-    for tree in trees:
-        example, _ = trainer.rollout(tree, params, vocab, config, train_config, rng)
-        examples.append(example)
-    return params, examples
+    return params, [
+        trainer.rollout(tree, params, vocab, config, train_config, rng)
+        for tree in trees
+    ]
 
 
 def run_gradcheck_suite(

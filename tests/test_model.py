@@ -1,10 +1,13 @@
 import copy
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import deep_tree
 
+from jointparse import model
 from jointparse.model import (
     LOSS_BLOCK,
     LabelStep,
@@ -14,8 +17,9 @@ from jointparse.model import (
     StructuralStep,
     Vocabulary,
     encode,
+    _activate,
     _encoder_backward,
-    _lstm_forward,
+    _halved,
     init_parameters,
     label_raw_scores,
     load_checkpoint,
@@ -163,6 +167,57 @@ def _reference_loss(params, ids, steps, masks):
     return loss, grads
 
 
+def _gate_keeping_forward(params, name, xs):
+    """The model's LSTM forward, step for step, keeping every step's gates
+    (sigmoid i, f, o and tanh g) and tanh(c) in the cache."""
+    Wx, Wh, b = (params[f"{name}.{part}"] for part in ("Wx", "Wh", "b"))
+    n, H = xs.shape[0], Wh.shape[1]
+    inputs = xs @ Wx.T + b
+    inputs[:, : 3 * H] *= 0.5
+    Wh = Wh.copy()
+    Wh[: 3 * H] *= 0.5
+    states, cells = np.zeros((n + 1, H)), np.zeros((n + 1, H))
+    gates, tanh_cells = np.empty((n, 4 * H)), np.empty((n, H))
+    for t in range(n):
+        z = gates[t]
+        np.dot(Wh, states[t], out=z)
+        z += inputs[t]
+        np.tanh(z, out=z)
+        z[: 3 * H] = z[: 3 * H] * 0.5 + 0.5
+        i, f, o, g = z.reshape(4, H)
+        cells[t + 1] = f * cells[t] + i * g
+        tanh_cells[t] = np.tanh(cells[t + 1])
+        states[t + 1] = o * tanh_cells[t]
+    return SimpleNamespace(xs=xs, states=states, cells=cells, gates=gates,
+                           tanh_cells=tanh_cells)
+
+
+def _gate_reading_backward(params, name, cache, d_states, grads):
+    """Backpropagation through time that reads the forward's own per-step
+    gates and tanh(c) from the cache, one step at a time."""
+    Wx, Wh = params[f"{name}.Wx"], params[f"{name}.Wh"]
+    n, H = cache.xs.shape[0], Wh.shape[1]
+    dZ = np.empty((n, 4 * H))
+    dh, dc = np.zeros(H), np.zeros(H)
+    for t in range(n - 1, -1, -1):
+        i, f, o, g = cache.gates[t].reshape(4, H)
+        tc = cache.tanh_cells[t]
+        dh = dh + d_states[t + 1]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dZ[t] = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * cache.cells[t] * f * (1.0 - f),
+            dh * tc * o * (1.0 - o),
+            dc * i * (1.0 - g * g),
+        ])
+        dh = Wh.T @ dZ[t]
+        dc = dc * f
+    grads[f"{name}.Wx"] = dZ.T @ cache.xs
+    grads[f"{name}.Wh"] = dZ.T @ cache.states[:-1]
+    grads[f"{name}.b"] = dZ.sum(axis=0)
+    return dZ @ Wx
+
+
 def _random_steps(count, n, label_dim, hmask, rng):
     """Interleaved structural and label steps over n tokens with legal
     targets, including below = -1, width-1 spans and one-action masks."""
@@ -212,10 +267,12 @@ class TestEncode:
         assert np.all(deltas > 0)
 
     def test_gate_form_matches_two_branch_sigmoid_and_tanh(self):
-        # With a zero input a one-step run's pre-activations are `b`, so its
-        # gates are sigmoid on the i, f and o blocks and tanh on g at chosen
-        # points.  The tanh form of the sigmoid flushes it to 0 below about
-        # -37, where the two-branch form is subnormal, so the check is absolute.
+        # With a zero input a step's pre-activations are `b`, so the gates the
+        # forward and backward share are sigmoid on the i, f and o blocks and
+        # tanh on g at chosen points, whether taken one row at a time (the
+        # forward) or over all rows at once (the backward).  The tanh form of
+        # the sigmoid flushes it to 0 below about -37, where the two-branch
+        # form is subnormal, so the check is absolute.
         def two_branch(x):
             out = np.empty_like(x)
             pos = x >= 0
@@ -228,13 +285,16 @@ class TestEncode:
         x = np.concatenate([
             rng.normal(size=999) * scale for scale in (0.1, 1.0, 10.0, 100.0)
         ] + [np.array([0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, np.inf, -np.inf])])
-        H = 77  # 4004 points in 52 runs
+        H = 77  # 4004 points in 52 rows
+        halved = []
         for z in x.reshape(-1, H):
-            cache = _lstm_forward(
-                np.zeros((4 * H, 1)), np.zeros((4 * H, H)), np.tile(z, 4),
-                np.zeros((1, 1)),
-            )
-            gates = cache.gates[0].reshape(4, H)
+            params = {"t.Wx": np.zeros((4 * H, 1)), "t.Wh": np.zeros((4 * H, H)),
+                      "t.b": np.tile(z, 4)}
+            halved.append(_halved(params, "t", np.zeros((1, 1)))[0][0])
+        rows = _activate(np.array(halved))
+        for z, row, pre in zip(x.reshape(-1, H), rows, halved):
+            assert np.array_equal(_activate(pre), row)
+            gates = row.reshape(4, H)
             for k in range(3):
                 np.testing.assert_allclose(gates[k], two_branch(z), rtol=0,
                                            atol=2.3e-16)
@@ -356,6 +416,26 @@ class TestStackedLoss:
         loss, grads = loss_and_gradients(params, ids, steps, masks)
         want_loss, want = _reference_loss(params, ids, steps, masks)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        for key, array in want.items():
+            scale = np.abs(array).max()
+            assert np.abs(grads[key] - array).max() <= 1e-12 * scale, key
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_recomputed_gates_match_the_forwards_own(self, setup, rate,
+                                                     monkeypatch):
+        # The backward recomputes the gates with one matrix product per run,
+        # so they may differ from the forward's per-step products in the last
+        # bits; the forward itself, and so the loss, is unchanged.
+        _, vocab, config, params = setup
+        rng = np.random.default_rng(23)
+        ids = rng.integers(0, vocab.n_words, 40)
+        masks = make_dropout_masks(len(ids), config, rate, rng)
+        steps = _random_steps(60, len(ids), vocab.label_dim, lambda: None, rng)
+        loss, grads = loss_and_gradients(params, ids, steps, masks)
+        monkeypatch.setattr(model, "_lstm_forward", _gate_keeping_forward)
+        monkeypatch.setattr(model, "_lstm_backward", _gate_reading_backward)
+        want_loss, want = loss_and_gradients(params, ids, steps, masks)
+        assert loss == want_loss
         for key, array in want.items():
             scale = np.abs(array).max()
             assert np.abs(grads[key] - array).max() <= 1e-12 * scale, key
@@ -496,6 +576,29 @@ def test_prepared_scorer_keeps_only_head_rows(setup):
         assert scorer.enc.boundary is None
         for blocks in scorer.enc.heads.values():
             assert all(rows.shape[0] == len(words) + 1 for rows in blocks)
+
+
+def test_prepare_keeps_memory_per_token_within_states_and_cells():
+    # Per token, what `prepare` may hold at its peak, in floats: each of the
+    # four LSTMs' hidden states and cells (8H), the first layer's output
+    # (2H), the boundary features (4H), one LSTM's input projection (4H),
+    # the embeddings, and the eight projected head rows.  Keeping each
+    # step's gates and tanh(c) as well would add 20H.
+    doc = deep_tree(200)  # 401 tokens
+    vocab = Vocabulary.from_treebank([doc])
+    config = ModelConfig(word_dim=8, hidden_dim=8, scorer_hidden=12)
+    params = init_parameters(vocab, config, np.random.default_rng(1))
+    scorer = SpanScorer(params, vocab)
+    words = [t.text for t in doc.tokens]
+    H, hs = config.hidden_dim, config.scorer_hidden
+    per_token = 8 * (18 * H + config.word_dim + 8 * hs)
+    tracemalloc.start()
+    try:
+        scorer.prepare(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_token * len(words), (peak, per_token * len(words))
 
 
 def test_zero_gradients_match_shapes(setup):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointparse import serialize
 from jointparse.serialize import (
     JointParseError,
     read_joint,
@@ -13,7 +14,13 @@ from jointparse.serialize import (
     write_treebank,
 )
 from jointparse.synthetic import WORDS, generate_synthetic
-from jointparse.trees import EduSpan, MULTI_NUCLEAR, DiscourseLabel
+from jointparse.trees import (
+    MULTI_NUCLEAR,
+    DiscourseLabel,
+    EduSpan,
+    Internal,
+    check_renderable,
+)
 
 
 def test_fig1_round_trip(fig1_expected):
@@ -60,6 +67,29 @@ def test_treebank_file_round_trip(tmp_path):
     path = tmp_path / "trees.joint"
     write_treebank(trees, path)
     assert read_treebank(path) == trees
+
+
+def test_treebank_file_checks_each_label_once(tmp_path, monkeypatch):
+    trees = [generate_synthetic(f"labels/{k}", max_tokens=30) for k in range(12)]
+    checked = []
+
+    def counting_check(label):
+        checked.append(label)
+        return check_renderable(label)
+
+    monkeypatch.setattr(serialize, "check_renderable", counting_check)
+    path = tmp_path / "bank.joint"
+    write_treebank(trees, path)
+    written = path.read_bytes()
+    assert len(checked) == len(set(checked))
+    labels, stack = set(), [tree.root for tree in trees]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Internal):
+            labels.add(node.label)
+            stack.extend(node.children)
+    assert set(checked) == labels
+    assert written == "".join(write_joint(t) + "\n\n" for t in trees).encode()
 
 
 def test_treebank_error_names_the_document(tmp_path):

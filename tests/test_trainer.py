@@ -1,21 +1,32 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import deep_tree
 
 from jointparse import trainer
-from jointparse.model import ModelConfig, Vocabulary, init_parameters, load_checkpoint
+from jointparse.model import (
+    LabelStep,
+    ModelConfig,
+    SpanScorer,
+    StructuralStep,
+    Vocabulary,
+    init_parameters,
+    load_checkpoint,
+    loss_and_gradients,
+)
 from jointparse.synthetic import generate_treebank
 from jointparse.trainer import Adam, TrainConfig, TrainingDiverged, rollout, train
 from jointparse.transition import (
-    apply_action,
-    axiom,
+    STRUCTURAL_ACTIONS,
     derive,
     dynamic_oracle,
-    is_terminal,
     legal_actions,
-    unit_bounds,
+    parse_greedy,
+    slot_action,
     unit_gold_map,
 )
-from jointparse.trees import LabeledSpan, extract_edus, labeled_spans
+from jointparse.trees import extract_edus, is_discourse_chain, labeled_spans
 
 SMALL_MODEL = ModelConfig(word_dim=8, hidden_dim=8, scorer_hidden=12)
 
@@ -38,22 +49,55 @@ def oracle_free_config(**kwargs):
     return TrainConfig(**defaults)
 
 
+def recorded_rollout(monkeypatch, gold, params, vocab, config, seed):
+    """`rollout` with the choosers it hands `trainer.derive` wrapped: returns
+    the example, every chooser call as (state, legal mask, picked action),
+    and the derivation's labeled spans."""
+    calls, derived = [], []
+
+    def recording_derive(n, chains, choose_structural, choose_label, edus=None):
+        def structural(state, below, left, right, legal):
+            pick = choose_structural(state, below, left, right, legal)
+            calls.append((state, legal, STRUCTURAL_ACTIONS[pick]))
+            return pick
+
+        def label(state, left, mid, right, legal):
+            pick = choose_label(state, left, mid, right, legal)
+            calls.append((state, legal, slot_action(chains, pick)))
+            return pick
+
+        derived.append(derive(n, chains, structural, label, edus))
+        return derived[-1]
+
+    monkeypatch.setattr(trainer, "derive", recording_derive)
+    example = rollout(
+        gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(seed)
+    )
+    (spans,) = derived
+    assert len(example.steps) == len(calls)
+    return example, calls, spans
+
+
+def target_actions(example, vocab):
+    return [
+        slot_action(vocab.inventory(), step.target) if isinstance(step, LabelStep)
+        else STRUCTURAL_ACTIONS[step.target]
+        for step in example.steps
+    ]
+
+
 class TestRollout:
-    def test_beta_one_reproduces_gold(self, corpus, fresh):
+    def test_beta_one_reproduces_gold(self, corpus, fresh, monkeypatch):
         vocab, params = fresh
         config = oracle_free_config()
         for gold in corpus:
-            _, trace = rollout(
-                gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(0)
+            example, calls, spans = recorded_rollout(
+                monkeypatch, gold, params, vocab, config, 0
             )
-            state = axiom(len(gold.tokens))
-            for record in trace:
-                assert record.followed == record.target
-                state = apply_action(state, record.followed)
-            assert is_terminal(state)
-            assert state.labeled == frozenset(labeled_spans(gold))
+            assert [action for _, _, action in calls] == target_actions(example, vocab)
+            assert spans == labeled_spans(gold)
 
-    def test_targets_are_legal_and_oracle_optimal(self, corpus, fresh):
+    def test_targets_are_legal_and_oracle_optimal(self, corpus, fresh, monkeypatch):
         # Legal under the shared rule, with the discourse-only label mask
         # in gold-EDU mode.
         vocab, params = fresh
@@ -61,117 +105,76 @@ class TestRollout:
         for mode, edus in (("end2end", None), ("goldedu", extract_edus(gold))):
             config = oracle_free_config(beta=0.3, mode=mode)
             gold_map = unit_gold_map(gold, edus)
-            _, trace = rollout(
-                gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(4)
+            example, calls, _ = recorded_rollout(
+                monkeypatch, gold, params, vocab, config, 4
             )
             labels = 0
-            for record in trace:
-                legal = legal_actions(record.state, vocab.chains, edus is not None)
-                oracle = dynamic_oracle(record.state, gold_map)
-                assert record.target in oracle
-                assert record.target in legal
-                assert record.followed in legal
-                labels += record.state.midpoint is not None
+            for (state, _, followed), target in zip(
+                calls, target_actions(example, vocab)
+            ):
+                legal = legal_actions(state, vocab.chains, edus is not None)
+                assert target in dynamic_oracle(state, gold_map)
+                assert target in legal
+                assert followed in legal
+                labels += state.midpoint is not None
             assert labels
 
-    def test_fixed_seed_reproducible(self, corpus, fresh):
+    def test_fixed_seed_reproducible(self, corpus, fresh, monkeypatch):
         vocab, params = fresh
         config = TrainConfig(beta=0.5, dropout=0.5, dev_size=0, epochs=1)
-        first_ex, first_trace = rollout(
-            corpus[0], params, vocab, SMALL_MODEL, config, np.random.default_rng(7)
+        first_ex, first_calls, _ = recorded_rollout(
+            monkeypatch, corpus[0], params, vocab, config, 7
         )
-        second_ex, second_trace = rollout(
-            corpus[0], params, vocab, SMALL_MODEL, config, np.random.default_rng(7)
+        second_ex, second_calls, _ = recorded_rollout(
+            monkeypatch, corpus[0], params, vocab, config, 7
         )
         assert np.array_equal(first_ex.ids, second_ex.ids)
-        assert [r.followed for r in first_trace] == [r.followed for r in second_trace]
+        assert [a for _, _, a in first_calls] == [a for _, _, a in second_calls]
         assert [s.target for s in first_ex.steps] == [s.target for s in second_ex.steps]
 
-    def test_beta_zero_is_greedy_decode(self, corpus, fresh):
-        from jointparse.model import SpanScorer
-        from jointparse.transition import parse_greedy
-
+    def test_beta_zero_is_greedy_decode(self, corpus, fresh, monkeypatch):
         vocab, params = fresh
         scorer = SpanScorer(params, vocab)
-        gold = corpus[1]
-        words = [t.text for t in gold.tokens]
-        state = axiom(len(gold.tokens))
-        _, trace = rollout(
-            gold, params, vocab, SMALL_MODEL, oracle_free_config(beta=0.0),
-            np.random.default_rng(0),
-        )
-        for record in trace:
-            state = apply_action(state, record.followed)
-        greedy = parse_greedy(scorer, words)
-        assert state.labeled == frozenset(labeled_spans(greedy))
+        # Gold-EDU mode derives over EDUs, and EDU placeholder labels are
+        # applied without a chooser call.
+        for mode in ("end2end", "goldedu"):
+            config = oracle_free_config(beta=0.0, mode=mode)
+            for gold in (d for d in corpus if len(extract_edus(d)) >= 2):
+                edus = extract_edus(gold) if mode == "goldedu" else None
+                _, _, spans = recorded_rollout(
+                    monkeypatch, gold, params, vocab, config, 0
+                )
+                words = [t.text for t in gold.tokens]
+                greedy = parse_greedy(scorer, words, edu_spans=edus)
+                assert spans == labeled_spans(greedy)
 
-        # Gold-EDU mode: the trace runs over EDUs, and EDU placeholder labels
-        # are applied without a trace record.
-        config = oracle_free_config(beta=0.0, mode="goldedu")
-        for gold in (d for d in corpus if len(extract_edus(d)) >= 2):
-            edus = extract_edus(gold)
-            _, trace = rollout(
-                gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(0)
-            )
-            final = apply_action(trace[-1].state, trace[-1].followed)
-            assert is_terminal(final) and final.n == len(edus)
-            bounds = unit_bounds(len(gold.tokens), edus)
-            built = {
-                LabeledSpan(bounds[s.start], bounds[s.end], s.chain)
-                for s in final.labeled
-            }
-            words = [t.text for t in gold.tokens]
-            greedy = parse_greedy(scorer, words, edu_spans=edus)
-            assert built == labeled_spans(greedy)
-
-    def test_gold_edu_rollout_targets_discourse_only(self, corpus, fresh):
+    def test_gold_edu_rollout_targets_discourse_only(self, corpus, fresh, monkeypatch):
         vocab, params = fresh
         config = oracle_free_config(mode="goldedu")
         gold = next(d for d in corpus if len(extract_edus(d)) >= 2)
-        example, trace = rollout(
-            gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(1)
+        example, calls, _ = recorded_rollout(
+            monkeypatch, gold, params, vocab, config, 1
         )
         m = len(extract_edus(gold))
-        kinds = [r.followed.kind for r in trace]
+        kinds = [action.kind for _, _, action in calls]
         assert kinds.count("shift") == m
         assert kinds.count("combine") == m - 1
-        from jointparse.model import LabelStep
-        from jointparse.trees import is_discourse_chain
-
         for step in example.steps:
             if isinstance(step, LabelStep) and step.target > 0:
                 assert is_discourse_chain(vocab.chains[step.target - 1])
 
     @pytest.mark.parametrize("mode", ["end2end", "goldedu"])
     def test_steps_carry_the_driver_masks(self, corpus, fresh, monkeypatch, mode):
-        from jointparse.model import LabelStep, StructuralStep
-
         vocab, params = fresh
-        handed = []
-
-        def recording_derive(n, chains, choose_structural, choose_label, edus=None):
-            def structural(state, below, left, right, legal):
-                handed.append(legal)
-                return choose_structural(state, below, left, right, legal)
-
-            def label(state, left, mid, right, legal):
-                handed.append(legal)
-                return choose_label(state, left, mid, right, legal)
-
-            return derive(n, chains, structural, label, edus)
-
-        monkeypatch.setattr(trainer, "derive", recording_derive)
         config = oracle_free_config(beta=0.5, dropout=0.5, mode=mode)
         docs = [d for d in corpus if len(extract_edus(d)) >= 2]
         assert docs
         for gold in docs:
-            handed.clear()
-            example, _ = rollout(
-                gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(2)
+            example, calls, _ = recorded_rollout(
+                monkeypatch, gold, params, vocab, config, 2
             )
             n = len(gold.tokens)
-            assert len(example.steps) == len(handed)
-            for step, legal in zip(example.steps, handed):
+            for step, (_, legal, _) in zip(example.steps, calls):
                 assert step.legal is legal
                 assert legal[step.target]
             first = example.steps[0]
@@ -184,6 +187,28 @@ class TestRollout:
             # Each label step keeps its own mask.
             label_masks = [s.legal for s in example.steps if isinstance(s, LabelStep)]
             assert len({id(m) for m in label_masks}) == len(label_masks)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_memory_is_linear_in_document_length(self, dropout):
+        # The peak of one rollout and its loss on a 2n-token document stays
+        # within about twice the peak on an n-token one: nothing kept per
+        # step may grow with the document.
+        def peak(doc):
+            vocab = Vocabulary.from_treebank([doc])
+            params = init_parameters(vocab, SMALL_MODEL, np.random.default_rng(1))
+            config = TrainConfig(beta=0.8, dropout=dropout)
+            tracemalloc.start()
+            try:
+                example = rollout(
+                    doc, params, vocab, SMALL_MODEL, config, np.random.default_rng(2)
+                )
+                loss_and_gradients(params, example.ids, example.steps, example.masks)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(deep_tree(100)), peak(deep_tree(200))  # 201, 401 tokens
+        assert long <= 2.3 * short, (short, long)
 
 
 class TestAdam:
