@@ -186,16 +186,21 @@ def cmd_train(args) -> int:
 
 
 def read_token_documents(path) -> list:
-    """Blank-line-separated documents of whitespace-separated tokens."""
+    """Documents of whitespace-separated tokens, separated by lines that are
+    empty or hold only whitespace."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    return [block.split() for block in text.split("\n\n") if block.strip()]
+    return [block.split() for _line, block in serialize.text_blocks(text)]
 
 
+# The scorer of a `--jobs N` pool worker, one per worker process.  The
+# sequential path of `cmd_parse` uses it too and clears it when the command
+# ends, so that no model outlives its command.
 _WORKER = {}
 
 
 def _parse_worker_init(checkpoint):
+    _WORKER.clear()  # drop any previous model before loading this one
     params, vocab, _config = load_checkpoint(checkpoint)
     _WORKER["scorer"] = SpanScorer(params, vocab)
 
@@ -233,8 +238,11 @@ def cmd_parse(args) -> int:
         ) as pool:
             rendered = [text for _i, text in sorted(pool.map(_parse_worker, tasks))]
     else:
-        _parse_worker_init(args.model)
-        rendered = [text for _i, text in map(_parse_worker, tasks)]
+        try:
+            _parse_worker_init(args.model)
+            rendered = [text for _i, text in map(_parse_worker, tasks)]
+        finally:
+            _WORKER.clear()
     for text in rendered:
         print(text)
         print()
@@ -289,6 +297,18 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+def _positive_int(text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="jointparse")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -320,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--input", required=True, help="token file, one doc per block")
     p.add_argument("--gold-edus", help="segmentation file for gold-EDU decoding")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel worker processes")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("eval", help="score predictions against gold trees")

@@ -1,8 +1,9 @@
 """Text format for joint trees, treebank files, and EDU segmentation files.
 
 A tree is one bracketed line: ``(Background-> (S (NP (NNP Costa) ...``.
-Treebank files hold one tree per blank-line-separated block.  Segmentation
-files carry one document per line as space-separated ``start:end`` ranges.
+Treebank files hold one tree per block of lines; lines that are empty or
+hold only whitespace separate the blocks.  Segmentation files carry one
+document per line as space-separated ``start:end`` ranges.
 """
 
 from .ptb import escape_token, unescape_token
@@ -114,18 +115,30 @@ def read_treebank_text(text: str) -> list:
     """The trees of a treebank text; an error names the document and its line."""
     trees = []
     labels = {}
-    line = 1  # the line the current block starts on
-    for block in text.split("\n\n"):
-        if block.strip():
-            try:
-                trees.append(_read_block(block, labels))
-            except JointParseError as exc:
-                line += block.count("\n", 0, len(block) - len(block.lstrip()))
-                raise JointParseError(
-                    f"document {len(trees) + 1} (line {line}): {exc}"
-                ) from exc
-        line += block.count("\n") + 2
+    for line, block in text_blocks(text):
+        try:
+            trees.append(_read_block(block, labels))
+        except JointParseError as exc:
+            raise JointParseError(
+                f"document {len(trees) + 1} (line {line}): {exc}"
+            ) from exc
     return trees
+
+
+def text_blocks(text: str):
+    """(first line number, text) of each block of `text`: blocks are runs of
+    lines, separated by lines that are empty or hold only whitespace."""
+    lines = []
+    for number, line in enumerate(text.split("\n"), 1):
+        if line and not line.isspace():
+            if not lines:
+                first = number
+            lines.append(line)
+        elif lines:
+            yield first, "\n".join(lines)
+            lines = []
+    if lines:
+        yield first, "\n".join(lines)
 
 
 def write_segmentation(documents, path) -> None:

@@ -1,11 +1,14 @@
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
 from conftest import fixture_text
 
 from jointparse import cli, serialize
+from jointparse.model import load_checkpoint
 from jointparse.synthetic import generate_treebank
 
 
@@ -286,6 +289,52 @@ class TestParseAndEval:
             "--input", str(tokens_file), "--jobs", "2",
         )
         assert serial_out == parallel_out
+
+    def test_whitespace_only_line_separates_documents(self, run_dir, tmp_path, capsys):
+        _base, _treebank, out = run_dir
+        tokens_file = tmp_path / "tokens.txt"
+        tokens_file.write_text("the cat sat\n \ndogs bark\n\t\nloudly\n")
+        code, stdout, _ = run(
+            capsys, "parse", "--model", str(out / "best.ckpt"),
+            "--input", str(tokens_file),
+        )
+        assert code == 0
+        preds = serialize.read_treebank_text(stdout)
+        assert [[t.text for t in tree.tokens] for tree in preds] == [
+            ["the", "cat", "sat"], ["dogs", "bark"], ["loudly"]
+        ]
+
+    def test_parse_frees_its_model(self, run_dir, tmp_path, capsys, monkeypatch):
+        _base, _treebank, out = run_dir
+        tokens_file = tmp_path / "tokens.txt"
+        tokens_file.write_text("a b c\n\nd e\n")
+        loaded = []
+
+        def load(path):
+            params, vocab, config = load_checkpoint(path)
+            loaded.append(weakref.ref(params["embed"]))
+            return params, vocab, config
+
+        monkeypatch.setattr(cli, "load_checkpoint", load)
+        code, _out, _err = run(
+            capsys, "parse", "--model", str(out / "best.ckpt"),
+            "--input", str(tokens_file),
+        )
+        gc.collect()
+        assert code == 0 and len(loaded) == 1
+        assert loaded[0]() is None
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, run_dir, tmp_path, capsys, jobs):
+        _base, _treebank, out = run_dir
+        tokens_file = tmp_path / "tokens.txt"
+        tokens_file.write_text("a b c\n")
+        with pytest.raises(SystemExit) as info:
+            cli.main(["parse", "--model", str(out / "best.ckpt"),
+                      "--input", str(tokens_file), "--jobs", jobs])
+        assert info.value.code == 1
+        stderr = capsys.readouterr().err
+        assert "--jobs" in stderr and "at least 1" in stderr
 
     def test_segmentation_count_mismatch_rejected(self, run_dir, tmp_path, capsys):
         base, treebank, out = run_dir

@@ -465,6 +465,67 @@ class TestCheckpoint:
         for key, array in params.items():
             assert np.array_equal(loaded_params[key], array)
 
+    def test_loads_into_one_buffer(self, setup, tmp_path):
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        loaded, _, _ = load_checkpoint(path)
+        buffer = loaded["embed"].base
+        assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
+        assert buffer.size == sum(array.size for array in params.values())
+        for key, array in params.items():
+            assert loaded[key].base is buffer
+            assert loaded[key].flags.c_contiguous and loaded[key].flags.writeable
+            assert np.array_equal(loaded[key], array)
+        # The views tile the buffer: no two share an element.
+        starts = sorted(
+            (view.__array_interface__["data"][0], view.nbytes)
+            for view in loaded.values()
+        )
+        assert all(a + n == b for (a, n), (b, _) in zip(starts, starts[1:]))
+
+    def test_narrower_stored_dtype_loads_as_float64(self, setup, tmp_path):
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
+        narrow = dict(params, **{"lstm1f.Wx": params["lstm1f.Wx"].astype(np.float32)})
+        save_checkpoint(path, narrow, vocab, config)
+        loaded, _, _ = load_checkpoint(path)
+        assert loaded["lstm1f.Wx"].dtype == np.float64
+        assert np.array_equal(loaded["lstm1f.Wx"], narrow["lstm1f.Wx"])
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_parameter_names_must_match(self, setup, tmp_path, change):
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
+        bad = dict(params)
+        if change == "missing":
+            del bad["label.b2"]
+        else:
+            bad["label.b3"] = params["label.b2"]
+        save_checkpoint(path, bad, vocab, config)
+        with pytest.raises(ModelError, match=r"names do not match: \['label\.b[23]'\]"):
+            load_checkpoint(path)
+
+    def test_load_holds_one_member_besides_the_model(self, tmp_path):
+        # Default dims: a model of about 21 MB whose largest member is
+        # several MB, so holding every member at once would show.
+        trees = generate_treebank("checkpoint-memory", 4, max_tokens=10)
+        vocab = Vocabulary.from_treebank(trees)
+        config = ModelConfig()
+        params = init_parameters(vocab, config, np.random.default_rng(1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        del params
+        tracemalloc.start()
+        try:
+            loaded, _, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model_bytes = sum(array.nbytes for array in loaded.values())
+        largest = max(array.nbytes for array in loaded.values())
+        assert peak <= model_bytes + largest + 2**20, (peak, model_bytes, largest)
+
     def test_shape_mismatch_rejected(self, setup, tmp_path):
         _, vocab, config, params = setup
         path = tmp_path / "model.ckpt"

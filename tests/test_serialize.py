@@ -95,11 +95,13 @@ def test_treebank_file_checks_each_label_once(tmp_path, monkeypatch):
 def test_treebank_error_names_the_document(tmp_path):
     good = [write_joint(generate_synthetic(f"bad/{k}", max_tokens=6)) for k in range(2)]
     path = tmp_path / "trees.joint"
-    # Lines: 1 and 3 hold the good trees, 4 to 6 are blank, 7 is the bad one.
-    path.write_text(f"{good[0]}\n\n{good[1]}\n\n\n\n(S (NP x)\n\n(S y)\n")
     message = r"^document 3 \(line 7\): unbalanced '\('$"
-    with pytest.raises(JointParseError, match=message):
-        read_treebank(path)
+    # Lines: 1 and 3 hold the good trees, 4 to 6 are empty or hold only
+    # whitespace, 7 is the bad one.
+    for gap in ("\n\n\n\n", "\n \n\t\n  \n"):
+        path.write_text(f"{good[0]}\n\n{good[1]}{gap}(S (NP x)\n\n(S y)\n")
+        with pytest.raises(JointParseError, match=message):
+            read_treebank(path)
 
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
@@ -123,7 +125,9 @@ def test_round_trip_property(seed, max_tokens, max_edus, brackets):
 @PROPERTY
 @given(
     seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
-    separator=st.sampled_from(["\n\n", "\n\n\n", " \n\n", "\n\n \n\n"]),
+    separator=st.sampled_from(
+        ["\n\n", "\n\n\n", " \n\n", "\n\n \n\n", "\n \n", "\n\t\n"]
+    ),
 )
 def test_treebank_text_property(seeds, separator):
     blocks = [write_joint(generate_synthetic(seed, max_tokens=20)) for seed in seeds]
