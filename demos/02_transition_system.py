@@ -25,9 +25,9 @@ from jointparse.trees import labeled_spans
 from jointparse.serialize import write_joint
 
 
-def show(state):
+def show(state, labeled):
     mid = f" mid={state.midpoint}" if state.midpoint is not None else ""
-    print(f"  boundaries={list(state.boundaries)}{mid} labeled={len(state.labeled)}")
+    print(f"  boundaries={list(state.boundaries)}{mid} labeled={len(labeled)}")
 
 
 def main():
@@ -41,16 +41,20 @@ def main():
     print(" ", format_actions(actions))
     print()
 
+    # The state is the stack alone; `replay` collects the labeled spans.
     print("replaying the first six actions:")
-    state = axiom(len(tree.tokens))
-    show(state)
-    for action in actions[:6]:
+    n = len(tree.tokens)
+    state = axiom(n)
+    show(state, set())
+    for k, action in enumerate(actions[:6], 1):
         state = apply_action(state, action)
-        show(state)
+        show(state, replay(n, actions[:k]))
     print()
 
-    final = replay(len(tree.tokens), actions)
-    rebuilt = reconstruct(final.labeled, tree.tokens)
+    final = state
+    for action in actions[6:]:
+        final = apply_action(final, action)
+    rebuilt = reconstruct(replay(n, actions), tree.tokens)
     round_trip = is_terminal(final) and rebuilt == tree
     print("replay terminal:", is_terminal(final))
     print("reconstruction equals the gold tree:", rebuilt == tree)

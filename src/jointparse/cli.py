@@ -64,7 +64,11 @@ def load_run_config(path) -> dict:
             raise ValidationFailure(
                 f"unknown key(s) in config section {section!r}: {sorted(unknown)}"
             )
-    return {section: dict(raw.get(section, {})) for section in RUN_CONFIG_SCHEMA}
+    run = {section: dict(raw.get(section, {})) for section in RUN_CONFIG_SCHEMA}
+    limit = run["data"].get("limit")
+    if limit is not None and (type(limit) is not int or limit < 1):
+        raise ValidationFailure(f"data limit must be a positive integer, got {limit!r}")
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +236,7 @@ def cmd_parse(args) -> int:
     ]
     if args.jobs > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=args.jobs,
+            max_workers=min(args.jobs, len(tasks)),
             initializer=_parse_worker_init,
             initargs=(args.model,),
         ) as pool:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .trees import (
     DiscourseLabel,
     extract_edus,
-    is_discourse_chain,
     labeled_spans,
     parse_chain,
     spans_tile,
@@ -50,20 +49,34 @@ def _match(gold_items, pred_items):
 # labeled spans by level (constituency / discourse / overall)
 
 
-def _level_spans(tree, level):
-    spans = labeled_spans(tree)
-    if level == "all":
-        return spans
-    if level == "discourse":
-        return {s for s in spans if is_discourse_chain(s.chain)}
-    if level == "syntactic":
-        return {s for s in spans if not is_discourse_chain(s.chain)}
-    raise EvalError(f"unknown level {level!r}")
+_SPAN_LEVELS = ("all", "discourse", "syntactic")
+
+
+def _span_items(tree) -> dict:
+    """The tree's labeled spans at each level of `_SPAN_LEVELS`, and its
+    discourse items at each strictness level, from one walk of the tree and
+    one parse of each span's chain."""
+    items = {"all": labeled_spans(tree)}
+    for key in ("discourse", "syntactic", "structure", "nuclearity", "relation"):
+        items[key] = set()
+    for span in items["all"]:
+        labels = parse_chain(span.chain)
+        if len(labels) != 1 or not isinstance(labels[0], DiscourseLabel):
+            items["syntactic"].add(span)
+            continue
+        label = labels[0]
+        items["discourse"].add(span)
+        items["structure"].add((span.start, span.end))
+        items["nuclearity"].add((span.start, span.end, label.form))
+        items["relation"].add((span.start, span.end, label.form, label.relation))
+    return items
 
 
 def span_counts(gold, pred, level="all"):
     _check_tokens(gold, pred)
-    return _match(_level_spans(gold, level), _level_spans(pred, level))
+    if level not in _SPAN_LEVELS:
+        raise EvalError(f"unknown level {level!r}")
+    return _match(_span_items(gold)[level], _span_items(pred)[level])
 
 
 def span_prf(gold, pred, level="all") -> PRF:
@@ -96,23 +109,9 @@ def segmentation_f1(gold_edus, pred_edus) -> PRF:
 # discourse structure at the three strictness levels
 
 
-def _discourse_items(tree):
-    items = {"structure": set(), "nuclearity": set(), "relation": set()}
-    for span in labeled_spans(tree):
-        if not is_discourse_chain(span.chain):
-            continue
-        label = parse_chain(span.chain)[0]
-        assert isinstance(label, DiscourseLabel)
-        items["structure"].add((span.start, span.end))
-        items["nuclearity"].add((span.start, span.end, label.form))
-        items["relation"].add((span.start, span.end, label.form, label.relation))
-    return items
-
-
 def discourse_counts(gold, pred):
     _check_tokens(gold, pred)
-    gold_items = _discourse_items(gold)
-    pred_items = _discourse_items(pred)
+    gold_items, pred_items = _span_items(gold), _span_items(pred)
     return {
         key: _match(gold_items[key], pred_items[key])
         for key in ("structure", "nuclearity", "relation")
@@ -144,15 +143,11 @@ _REPORT_PARTS = (
 
 
 def _doc_counts(gold, pred):
-    disc = discourse_counts(gold, pred)
-    counts = {
-        "seg": boundary_counts(extract_edus(gold), extract_edus(pred)),
-        "struct": disc["structure"],
-        "nuc": disc["nuclearity"],
-        "rel": disc["relation"],
-    }
-    for short, level in _REPORT_PARTS[4:]:
-        counts[short] = span_counts(gold, pred, level)
+    _check_tokens(gold, pred)
+    gold_items, pred_items = _span_items(gold), _span_items(pred)
+    counts = {"seg": boundary_counts(extract_edus(gold), extract_edus(pred))}
+    for short, key in _REPORT_PARTS[1:]:
+        counts[short] = _match(gold_items[key], pred_items[key])
     return counts
 
 

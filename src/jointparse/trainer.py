@@ -69,6 +69,10 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
+        if not isinstance(self.dropout, (int, float)) or not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if type(self.epochs) is not int or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if self.mode not in (END_TO_END, GOLD_EDU):
             raise ValueError(f"unknown training mode {self.mode!r}")
 

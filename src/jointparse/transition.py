@@ -8,7 +8,7 @@ no-label); the split point of the most recently built span is retained as
 ``midpoint`` until the labeling action consumes it, so the phase is readable
 off the state without a step counter.  A shifted width-1 span keeps its left
 boundary as a degenerate midpoint so three-argument label scoring stays
-well-defined.
+well-defined.  The state is the stack alone: labeled spans are the output.
 
 Terminal states have boundaries ``[-1, 0, n]`` and no midpoint.  The final
 labeling of the full span ``(0, n)`` must pick a real label (no-label is
@@ -59,7 +59,7 @@ and the oracle compares two counts read off a per-document `GoldIndex`.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class ParserState:
     n: int
     boundaries: tuple = (-1, 0)
     midpoint: int | None = None
-    labeled: frozenset = field(default_factory=frozenset)
 
     @property
     def top(self):
@@ -197,13 +196,10 @@ def successor(state: ParserState, action: Action) -> ParserState:
     """The state after `action`, which must be legal in `state`."""
     n, b = state.n, state.boundaries
     if action.kind == SHIFT:
-        return ParserState(n, b + (b[-1] + 1,), b[-1], state.labeled)
+        return ParserState(n, b + (b[-1] + 1,), b[-1])
     if action.kind == COMBINE:
-        return ParserState(n, b[:-2] + b[-1:], b[-2], state.labeled)
-    labeled = state.labeled
-    if action.kind == LABEL:
-        labeled = labeled | {LabeledSpan(b[-2], b[-1], action.chain)}
-    return ParserState(n, b, None, labeled)
+        return ParserState(n, b[:-2] + b[-1:], b[-2])
+    return ParserState(n, b)
 
 
 def apply_action(state: ParserState, action: Action):
@@ -217,11 +213,14 @@ def apply_action(state: ParserState, action: Action):
     return successor(state, action)
 
 
-def replay(n: int, actions) -> ParserState:
-    state = axiom(n)
+def replay(n: int, actions) -> set:
+    """The spans that `actions` label, each action checked by `apply_action`."""
+    state, spans = axiom(n), set()
     for action in actions:
         state = apply_action(state, action)
-    return state
+        if action.kind == LABEL:  # labeling leaves the boundaries as they were
+            spans.add(LabeledSpan(*state.top, action.chain))
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +242,19 @@ def reachable_count(state: ParserState, gold_spans) -> int:
     A span can only be created with its right boundary at the frontier, so a
     gold span (l, r) survives iff r lies at or beyond the frontier and l is
     still (or will become) an available boundary; during a labeling phase the
-    top span itself is also still winnable.
+    top span itself is also still winnable.  None of these is labeled yet: a
+    span is built ending at the frontier and labeled next, once per extent,
+    and the top's left boundary then only moves down, so a labeled (l, r)
+    has r < j, or r == j and l >= i (`verify.run_oracle_suite` checks this).
     """
     gold_map = _gold_map(gold_spans)
     i, j = state.top
     bset = set(state.boundaries)
-    count = 0
-    for (l, r), chain in gold_map.items():
-        if LabeledSpan(l, r, chain) in state.labeled:
-            continue
-        if (r > j and (l in bset or l >= j)) or (r == j and l in bset and l < i):
-            count += 1
-    if state.midpoint is not None:
-        chain = gold_map.get((i, j))
-        if chain is not None and LabeledSpan(i, j, chain) not in state.labeled:
-            count += 1
-    return count
+    count = sum(
+        (r > j and (l in bset or l >= j)) or (r == j and l in bset and l < i)
+        for l, r in gold_map
+    )
+    return count + (state.midpoint is not None and (i, j) in gold_map)
 
 
 @dataclass(frozen=True)
@@ -424,7 +420,7 @@ def derive(n, chains, choose_structural, choose_label, edu_spans=None) -> set:
     def at(u):  # token position of unit boundary u; the sentinel stays -1
         return -1 if u < 0 else bounds[u]
 
-    state = axiom(len(bounds) - 1)
+    state, spans = axiom(len(bounds) - 1), []
     while not is_terminal(state):
         i, j = state.top
         if state.midpoint is None:
@@ -439,8 +435,10 @@ def derive(n, chains, choose_structural, choose_label, edu_spans=None) -> set:
             legal = legal_mask(state, slots)
             pick = choose_label(state, at(i), at(state.midpoint), at(j), legal)
             action = slot_action(chains, pick)
+        if action.kind == LABEL:
+            spans.append(LabeledSpan(at(i), at(j), action.chain))
         state = successor(state, action)
-    return {LabeledSpan(at(s.start), at(s.end), s.chain) for s in state.labeled}
+    return set(spans)
 
 
 def static_oracle(gold: JointTree) -> list:

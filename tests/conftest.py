@@ -8,6 +8,8 @@ from jointparse.transition import (
     COMBINE_ACTION,
     NO_LABEL_ACTION,
     SHIFT_ACTION,
+    apply_action,
+    axiom,
     label_action,
 )
 from jointparse.trees import (
@@ -65,6 +67,17 @@ def parse_actions(text):
         MNEMONICS[word] if word in MNEMONICS else label_action(word.removeprefix("L:"))
         for word in text.split()
     ]
+
+
+def state_after(n, actions):
+    """The parser state of an n-unit document after `actions`, or the
+    mnemonics that spell them, each checked by `apply_action`."""
+    if isinstance(actions, str):
+        actions = parse_actions(actions)
+    state = axiom(n)
+    for action in actions:
+        state = apply_action(state, action)
+    return state
 
 
 def fixture_text(name):

@@ -188,6 +188,32 @@ class TestTrain:
         assert "wat" in stderr
 
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "epochs", 0),
+        ("train", "epochs", "2"),
+        ("train", "dropout", 1.0),
+        ("data", "limit", "2"),
+    ])
+    def test_bad_run_config_values_rejected(
+        self, run_dir, tmp_path, capsys, section, key, value
+    ):
+        _base, treebank, _out = run_dir
+        run_config = {
+            "model": {"word_dim": 4, "hidden_dim": 4, "scorer_hidden": 4},
+            "train": {"epochs": 1, "dev_size": 0},
+            "data": {},
+        }
+        run_config[section][key] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(run_config))
+        code, stdout, stderr = run(
+            capsys, "train", "--config", str(config),
+            "--treebank", str(treebank), "--out", str(tmp_path / "o"),
+        )
+        assert code == 1, stderr
+        assert key in stderr and not stdout
+
+
 class TestInputValidation:
     # An RST file reads as one bracketed document, but its tree breaks the
     # joint-tree invariants.
@@ -289,6 +315,41 @@ class TestParseAndEval:
             "--input", str(tokens_file), "--jobs", "2",
         )
         assert serial_out == parallel_out
+
+    def test_pool_has_at_most_one_worker_per_document(
+        self, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        _base, _treebank, out = run_dir
+        tokens_file = tmp_path / "tokens.txt"
+        tokens_file.write_text("a b c\n\nd e\n")
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs the workers in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "_WORKER", {})
+        monkeypatch.setattr(
+            cli.concurrent.futures, "ProcessPoolExecutor", InlinePool
+        )
+        code, stdout, _err = run(
+            capsys, "parse", "--model", str(out / "best.ckpt"),
+            "--input", str(tokens_file), "--jobs", "4",
+        )
+        assert code == 0 and sizes == [2]
+        assert len(serialize.read_treebank_text(stdout)) == 2
 
     def test_whitespace_only_line_separates_documents(self, run_dir, tmp_path, capsys):
         _base, _treebank, out = run_dir

@@ -1,15 +1,19 @@
 """Property tests over whole derivations of synthetic documents.
 
 The static oracle's derivation replays to the gold tree with n shifts,
-n - 1 combines and one labeling action after each.  Predictions built by
-`derive` with random choosers over the gold label inventory score nested
-discourse metrics: every relation match is a nuclearity match and every
-nuclearity match a structure match.
+n - 1 combines and one labeling action after each.  `replay` of the actions
+that random choosers take in `derive` labels exactly `derive`'s spans.
+Predictions built by `derive` with random choosers over the gold label
+inventory score nested discourse metrics: every relation match is a
+nuclearity match and every nuclearity match a structure match.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import state_after
 from jointparse.evaluate import discourse_counts
 from jointparse.synthetic import generate_synthetic
 from jointparse.transition import (
@@ -22,6 +26,7 @@ from jointparse.transition import (
     is_terminal,
     reconstruct,
     replay,
+    slot_action,
     static_oracle,
     unit_gold_map,
 )
@@ -41,13 +46,33 @@ def test_static_oracle_round_trip(seed, max_tokens, max_edus):
     tree = generate_synthetic(f"static/{seed}", max_tokens, max_edus)
     n = len(tree.tokens)
     actions = static_oracle(tree)
-    final = replay(n, actions)
-    assert is_terminal(final)
-    assert reconstruct(final.labeled, tree.tokens) == tree
+    assert is_terminal(state_after(n, actions))
+    assert reconstruct(replay(n, actions), tree.tokens) == tree
     kinds = [action.kind for action in actions]
     assert kinds.count(SHIFT) == n
     assert kinds.count(COMBINE) == n - 1
     assert len(actions) == 2 * (2 * n - 1)
+
+
+@PROPERTY
+@given(n=st.integers(1, 60), seed=st.integers(0, 10**6))
+def test_replay_returns_the_spans_that_derive_labels(n, seed):
+    rng = random.Random(seed)
+    chains = [None, "S", "NP", "<-Purpose", "List"]
+    actions = []
+
+    def structural(state, below, left, right, legal):
+        pick = rng.choice([k for k in (0, 1) if legal[k]])
+        actions.append(STRUCTURAL_ACTIONS[pick])
+        return pick
+
+    def label(state, left, mid, right, legal):
+        pick = rng.choice([k for k in range(len(chains)) if legal[k]])
+        actions.append(slot_action(chains, pick))
+        return pick
+
+    spans = derive(n, chains, structural, label)
+    assert replay(n, actions) == spans
 
 
 @PROPERTY

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import perturb_labels
 
+from jointparse import evaluate, trees
 from jointparse.evaluate import (
     EvalError,
     PRF,
@@ -14,7 +15,7 @@ from jointparse.evaluate import (
 from jointparse.serialize import read_joint, write_joint
 from jointparse.synthetic import generate_synthetic
 from jointparse.transition import reconstruct
-from jointparse.trees import EduSpan, LabeledSpan
+from jointparse.trees import EduSpan, LabeledSpan, labeled_spans, parse_chain
 
 WORDS = [f"w{i}" for i in range(10)]
 
@@ -206,3 +207,25 @@ class TestCorpusReport:
     def test_identity_is_all_hundred(self, gold):
         corpus = corpus_report([gold], [gold])["corpus"]
         assert all(value == pytest.approx(100.0) for value in corpus.values())
+
+    def test_walks_each_tree_once_and_parses_each_chain_once(self, monkeypatch):
+        golds = [generate_synthetic(f"walks/{k}", 30, 6) for k in range(5)]
+        preds = [perturb_labels(tree, seed=k) for k, tree in enumerate(golds)]
+        walks, parses = [], []
+
+        def counted_walk(tree):
+            walks.append(tree)
+            return labeled_spans(tree)
+
+        def counted_parse(chain):
+            parses.append(chain)
+            return parse_chain(chain)
+
+        monkeypatch.setattr(evaluate, "labeled_spans", counted_walk)
+        # Both names, so parses through `trees.is_discourse_chain` count too.
+        monkeypatch.setattr(evaluate, "parse_chain", counted_parse)
+        monkeypatch.setattr(trees, "parse_chain", counted_parse)
+        corpus_report(golds, preds)
+        assert len(walks) == 2 * len(golds)
+        spans = sum(len(labeled_spans(t)) for t in golds + preds)
+        assert len(parses) == spans

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from conftest import parse_actions
+from conftest import parse_actions, state_after
 from jointparse import transition
 from jointparse.synthetic import generate_synthetic
 from jointparse.transition import (
@@ -66,7 +67,7 @@ class TestPhases:
         assert state.midpoint == 0  # degenerate split of a width-1 span
 
     def test_nolabel_returns_to_structural(self):
-        state = replay(3, parse_actions("SH NL"))
+        state = state_after(3, "SH NL")
         assert state.midpoint is None
 
     def test_alternation_along_random_walks(self):
@@ -91,12 +92,12 @@ class TestLegalActions:
         assert legal_actions(axiom(3)) == {SHIFT_ACTION}
 
     def test_combine_only_when_frontier_exhausted(self):
-        state = replay(2, parse_actions("SH NL SH NL"))
+        state = state_after(2, "SH NL SH NL")
         assert state.boundaries == (-1, 0, 1, 2)
         assert legal_actions(state) == {COMBINE_ACTION}
 
     def test_root_span_excludes_nolabel(self):
-        state = replay(2, parse_actions("SH NL SH NL CB"))
+        state = state_after(2, "SH NL SH NL CB")
         assert state.boundaries == (-1, 0, 2)
         assert state.midpoint == 1
         actions = legal_actions(state, CHAINS)
@@ -108,7 +109,7 @@ class TestLegalActions:
         assert NO_LABEL_ACTION in legal_actions(state, CHAINS)
 
     def test_terminal_state_raises(self):
-        state = replay(1, parse_actions("SH L:A"))
+        state = state_after(1, "SH L:A")
         assert is_terminal(state)
         with pytest.raises(TransitionError):
             legal_actions(state)
@@ -116,11 +117,11 @@ class TestLegalActions:
             apply_action(state, SHIFT_ACTION)
 
     def test_gold_edu_mode_opens_discourse_chains_only(self):
-        below_root = replay(3, parse_actions("SH NL SH NL CB"))
+        below_root = state_after(3, "SH NL SH NL CB")
         assert legal_actions(below_root, CHAINS, gold_edus=True) == {
             NO_LABEL_ACTION, label_action("<-Purpose"), label_action("List"),
         }
-        root = replay(2, parse_actions("SH NL SH NL CB"))
+        root = state_after(2, "SH NL SH NL CB")
         assert legal_actions(root, CHAINS, gold_edus=True) == {
             label_action("<-Purpose"), label_action("List"),
         }
@@ -130,12 +131,12 @@ class TestLegalActions:
         inventory = [None, *CHAINS]
         slots = label_slots(inventory, gold_edus=True)
         assert slots.tolist() == [True, False, False, False, True, True]
-        state = replay(3, parse_actions("SH NL SH NL"))
+        state = state_after(3, "SH NL SH NL")
         assert legal_mask(state, slots) == (True, True)
         state = apply_action(state, COMBINE_ACTION)
         mask = legal_mask(state, slots)
         assert mask.tolist() == slots.tolist() and mask is not slots
-        root = replay(2, parse_actions("SH NL SH NL CB"))
+        root = state_after(2, "SH NL SH NL CB")
         assert legal_mask(root, slots).tolist() == [False] + slots.tolist()[1:]
 
 
@@ -145,15 +146,15 @@ class TestApply:
         assert (state.boundaries, state.midpoint) == ((-1, 0, 1), 0)
 
     def test_combine_keeps_branch_point(self):
-        state = replay(2, parse_actions("SH NL SH NL"))
+        state = state_after(2, "SH NL SH NL")
         state = apply_action(state, COMBINE_ACTION)
         assert (state.boundaries, state.midpoint) == ((-1, 0, 2), 1)
 
     def test_label_records_span_and_clears_midpoint(self):
-        state = replay(2, parse_actions("SH NL SH NL CB"))
+        state = state_after(2, "SH NL SH NL CB")
         state = apply_action(state, label_action("S"))
         assert state.midpoint is None
-        assert LabeledSpan(0, 2, "S") in state.labeled
+        assert LabeledSpan(0, 2, "S") in replay(2, parse_actions("SH NL SH NL CB L:S"))
         assert is_terminal(state)
 
     def test_illegal_actions_raise(self):
@@ -162,7 +163,7 @@ class TestApply:
         labeling = apply_action(axiom(2), SHIFT_ACTION)
         with pytest.raises(TransitionError):
             apply_action(labeling, SHIFT_ACTION)
-        root = replay(2, parse_actions("SH NL SH NL CB"))
+        root = state_after(2, "SH NL SH NL CB")
         with pytest.raises(TransitionError):
             apply_action(root, NO_LABEL_ACTION)
         for chainless in (label_action(None), label_action("")):
@@ -194,9 +195,10 @@ class TestStaticOracle:
     def test_round_trip_on_synthetic_trees(self):
         for k in range(60):
             tree = generate_synthetic(f"oracle/{k}", max_tokens=16, max_edus=5)
-            final = replay(len(tree.tokens), static_oracle(tree))
-            assert is_terminal(final)
-            assert reconstruct(final.labeled, tree.tokens) == tree
+            actions = static_oracle(tree)
+            assert is_terminal(state_after(len(tree.tokens), actions))
+            spans = replay(len(tree.tokens), actions)
+            assert reconstruct(spans, tree.tokens) == tree
 
     def test_leaf_root_raises(self):
         token = Token(0, "x")
@@ -234,20 +236,20 @@ class TestReachableCount:
         assert reachable_count(axiom(len(tree.tokens)), gold) == len(gold)
 
     def test_dropped_boundary_kills_span(self):
-        state = replay(5, parse_actions("SH NL SH NL SH NL CB NL"))
+        state = state_after(5, "SH NL SH NL SH NL CB NL")
         assert state.boundaries == (-1, 0, 1, 3)
         gold = {LabeledSpan(2, 4, "NP")}
         assert reachable_count(state, gold) == 0
 
     def test_labeled_spans_not_recounted(self):
-        state = replay(2, parse_actions("SH L:A"))
+        state = state_after(2, "SH L:A")
         gold = {LabeledSpan(0, 1, "A"), LabeledSpan(0, 2, "S")}
         assert reachable_count(state, gold) == 1
 
 
 class TestDynamicOracle:
     def test_label_phase_returns_gold_chain(self):
-        state = replay(2, parse_actions("SH NL SH NL CB"))
+        state = state_after(2, "SH NL SH NL CB")
         gold = {LabeledSpan(0, 2, "S+VP")}
         assert dynamic_oracle(state, gold) == {label_action("S+VP")}
 
@@ -257,7 +259,7 @@ class TestDynamicOracle:
         assert dynamic_oracle(state, gold) == {NO_LABEL_ACTION}
 
     def test_prefers_completing_a_gold_span(self):
-        state = replay(3, parse_actions("SH NL SH NL"))
+        state = state_after(3, "SH NL SH NL")
         gold = {LabeledSpan(0, 2, "A"), LabeledSpan(0, 3, "S")}
         assert dynamic_oracle(state, gold) == {COMBINE_ACTION}
 
@@ -267,13 +269,15 @@ class TestDynamicOracle:
             tree = generate_synthetic(f"follow/{k}", max_tokens=10, max_edus=4)
             gold = labeled_spans(tree)
             state = axiom(len(tree.tokens))
+            actions = []
             while not is_terminal(state):
                 choice = sorted(
                     dynamic_oracle(state, gold),
                     key=lambda a: (a.kind, a.chain or ""),
                 )
-                state = apply_action(state, rng.choice(choice))
-            assert state.labeled == frozenset(gold)
+                actions.append(rng.choice(choice))
+                state = apply_action(state, actions[-1])
+            assert replay(len(tree.tokens), actions) == gold
 
 
 class TestReconstruct:
@@ -499,6 +503,11 @@ class TestDerive:
             LabeledSpan(3, 4, EDU_PLACEHOLDER),
             LabeledSpan(4, 8, EDU_PLACEHOLDER),
         }
+
+    def test_state_is_the_stack_alone(self):
+        assert [f.name for f in dataclasses.fields(ParserState)] == [
+            "n", "boundaries", "midpoint",
+        ]
 
     def test_inventory_must_lead_with_nolabel(self):
         choosers = RecordingChoosers()

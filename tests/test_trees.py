@@ -177,8 +177,7 @@ def test_joint_format_and_static_oracle_on_deep_tree_at_default_recursion_limit(
     tree = deep_tree(750)
     back = serialize.read_joint(serialize.write_joint(tree))
     validate_tree(back)
-    state = replay(len(tree.tokens), static_oracle(tree))
-    rebuilt = reconstruct(state.labeled, tree.tokens)
+    rebuilt = reconstruct(replay(len(tree.tokens), static_oracle(tree)), tree.tokens)
     spans = labeled_spans(rebuilt)
     assert_same_tree(back, tree)
     assert spans == labeled_spans(tree)

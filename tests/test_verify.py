@@ -1,6 +1,6 @@
-from conftest import parse_actions
+from conftest import state_after
 from jointparse.model import LabelStep
-from jointparse.transition import axiom, replay, unit_gold_map
+from jointparse.transition import axiom, unit_gold_map
 from jointparse.verify import (
     CompletionSearch,
     finite_difference_check,
@@ -24,16 +24,16 @@ def test_completion_search_hand_case():
     search = CompletionSearch(gold, ["A", "S"])
     assert search.best_future(axiom(3)) == 2
     # after shifting all three tokens individually, (0,2) is dead
-    state = replay(3, parse_actions("SH NL SH NL SH NL"))
+    state = state_after(3, "SH NL SH NL SH NL")
     assert search.best_future(state) == 1
 
 
 def test_completion_search_label_actions():
     gold = {(0, 2): "A", (0, 3): "S"}
     search = CompletionSearch(gold, ["A", "B", "S"])
-    state = replay(3, parse_actions("SH NL SH NL CB"))  # labeling (0, 2)
+    state = state_after(3, "SH NL SH NL CB")  # labeling (0, 2)
     assert {a.mnemonic() for a in search.best_actions(state)} == {"L:A"}
-    off_gold = replay(3, parse_actions("SH NL SH"))  # labeling (1, 2)
+    off_gold = state_after(3, "SH NL SH")  # labeling (1, 2)
     assert {a.mnemonic() for a in search.best_actions(off_gold)} == {"NL"}
 
 
