@@ -118,7 +118,7 @@ def cmd_convert(args) -> int:
         with open(args.dropped, "w", encoding="utf-8") as handle:
             for stem, reason in dropped:
                 handle.write(f"{stem}\t{reason}\n")
-    stats = convert.corpus_stats(converted, bucket=args.bucket)
+    stats = convert.corpus_stats(converted)
     print(json.dumps({"stats": stats.to_dict(), "dropped": len(dropped)}, indent=2))
     if diagnostics:
         for line in diagnostics:
@@ -136,7 +136,7 @@ def cmd_generate(args) -> int:
         args.seed, args.count, max_tokens=args.max_tokens, max_edus=args.max_edus
     )
     serialize.write_treebank(trees, args.out)
-    stats = convert.corpus_stats(trees, bucket=args.bucket)
+    stats = convert.corpus_stats(trees)
     print(json.dumps({"stats": stats.to_dict()}, indent=2))
     return EXIT_OK
 
@@ -322,16 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rst", required=True, help="directory of .dis discourse files")
     p.add_argument("--out", required=True, help="output joint treebank file")
     p.add_argument("--dropped", help="write dropped documents and reasons here")
-    p.add_argument("--bucket", type=int, default=100, help="histogram bucket width")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("generate", help="emit a synthetic joint treebank")
     p.add_argument("--seed", required=True, help="generator seed")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-tokens", type=int, default=24)
     p.add_argument("--max-edus", type=int, default=5)
-    p.add_argument("--bucket", type=int, default=100)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a parser on a joint treebank")
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle and gradient suites")
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--gradcheck", action="store_true")
-    p.add_argument("--states", type=int, default=1000)
+    p.add_argument("--states", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_verify)
     return parser
 

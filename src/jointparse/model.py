@@ -52,11 +52,40 @@ class ModelError(ValueError):
     pass
 
 
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+AT_LEAST_1 = (lambda value: value >= 1, "at least 1")
+
+
+def check_config(config, error, **ranges):
+    """Check every field of a config dataclass: its value's type against
+    the field's annotation (an int passes as a float, which must be finite;
+    a bool passes as neither), then its range, given as
+    field=(test, description)."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        number = spec.type is float
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float) if number else spec.type)
+            or (number and not math.isfinite(value))
+        ):
+            raise error(f"{spec.name} must be {_TYPE_NAMES[spec.type]}, got {value!r}")
+        test, description = ranges.get(spec.name, (None, None))
+        if test is not None and not test(value):
+            raise error(f"{spec.name} must be {description}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     word_dim: int = 50
     hidden_dim: int = 200     # per direction, per layer
     scorer_hidden: int = 200
+
+    def __post_init__(self):
+        check_config(
+            self, ModelError,
+            word_dim=AT_LEAST_1, hidden_dim=AT_LEAST_1, scorer_hidden=AT_LEAST_1,
+        )
 
     @property
     def boundary_dim(self):

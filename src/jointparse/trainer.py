@@ -3,14 +3,15 @@
 Each document is rolled out step by step on the transition driver
 (`transition.derive`), over tokens or, in gold-EDU mode, over the gold
 EDUs, exactly as greedy decoding runs.  `rollout` supplies the two
-choosers.  At every step the oracle supplies the set of loss-free
-actions, the model's best oracle action becomes the training target, and
-the chooser returns the target with probability beta or the model's own
-argmax over the legal actions otherwise, so the scorer also sees states
-its mistakes would lead to.  The random draws per step come in a fixed
-order: the step's hidden dropout masks (shift then combine, or the label
-mask), then the beta draw.  Updates are per document; the best-dev
-checkpoint is retained.
+choosers.  At every structural step the oracle supplies the set of
+loss-free actions, the model's best oracle action becomes the target, and
+the chooser returns it with probability beta or the model's own argmax
+over the legal actions otherwise, so the scorer also sees states its
+mistakes would lead to.  A label action never moves the stack, so a label
+step returns its gold target unscored.  Each step draws its hidden
+dropout masks (shift then combine, or the label mask), then the beta
+draw, which a label step ignores: it is kept only to fix the random
+stream.  Updates are per document; the best-dev checkpoint is retained.
 """
 
 import os
@@ -22,14 +23,15 @@ import numpy as np
 
 from . import evaluate
 from .model import (
+    AT_LEAST_1,
     LabelStep,
     ModelConfig,
     SpanScorer,
     StructuralStep,
     Vocabulary,
+    check_config,
     encode,
     init_parameters,
-    label_raw_scores,
     loss_and_gradients,
     make_dropout_masks,
     sample_hidden_mask,
@@ -56,7 +58,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    beta: float = 0.8          # probability of following the dynamic oracle
+    beta: float = 0.8          # chance a structural step follows the oracle
     dropout: float = 0.5
     epochs: int = 20
     seed: int = 1
@@ -67,14 +69,16 @@ class TrainConfig:
     unk_replace: float = 0.25  # chance of hiding a singleton token
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must be in [0, 1]")
-        if not isinstance(self.dropout, (int, float)) or not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
-        if type(self.epochs) is not int or self.epochs < 1:
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if self.mode not in (END_TO_END, GOLD_EDU):
-            raise ValueError(f"unknown training mode {self.mode!r}")
+        unit = (lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
+        at_least_0 = (lambda value: value >= 0, "at least 0")
+        check_config(
+            self, ValueError, beta=unit, unk_replace=unit, epochs=AT_LEAST_1,
+            seed=at_least_0, dev_size=at_least_0, clip_norm=at_least_0,
+            dropout=(lambda value: 0.0 <= value < 1.0, "in [0, 1)"),
+            learning_rate=(lambda value: value > 0.0, "above 0"),
+            mode=(lambda value: value in (END_TO_END, GOLD_EDU),
+                  f"{END_TO_END!r} or {GOLD_EDU!r}"),
+        )
 
 
 @dataclass
@@ -118,10 +122,6 @@ def rollout(gold, params, vocab, model_config, config, rng):
     def hidden_mask():
         return sample_hidden_mask(model_config, config.dropout, rng)
 
-    def follow(scores, target):
-        # The oracle's target with probability beta, else the model's choice.
-        return target if rng.random() < config.beta else int(np.argmax(scores))
-
     def structural(state, below, left, right, legal):
         hmasks = hidden_mask(), hidden_mask()
         scores = structural_raw_scores(params, enc, below, left, right, *hmasks)
@@ -132,7 +132,8 @@ def rollout(gold, params, vocab, model_config, config, rng):
             key=lambda k: scores[k],
         )
         steps.append(StructuralStep(below, left, right, legal, target, *hmasks))
-        return follow(scores, target)
+        # The oracle's target with probability beta, else the model's choice.
+        return target if rng.random() < config.beta else int(np.argmax(scores))
 
     def label(state, left, mid, right, legal):
         hmask = hidden_mask()
@@ -141,8 +142,8 @@ def rollout(gold, params, vocab, model_config, config, rng):
         if not legal[target]:
             raise TrainingDiverged(f"gold tree has no legal label for span {state.top}")
         steps.append(LabelStep(left, mid, right, legal, target, hmask))
-        scores = label_raw_scores(params, enc, left, mid, right, hmask)
-        return follow(np.where(legal, scores, -np.inf), target)
+        rng.random()  # the unused beta draw keeps the random stream fixed
+        return target
 
     derive(n, vocab.inventory(), structural, label, edus)
     return TrainingExample(ids, steps, masks)

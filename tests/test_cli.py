@@ -193,6 +193,15 @@ class TestTrain:
         ("train", "epochs", "2"),
         ("train", "dropout", 1.0),
         ("data", "limit", "2"),
+        ("train", "beta", "0.5"),
+        ("train", "dev_size", "1"),
+        ("train", "learning_rate", "x"),
+        ("model", "word_dim", "4"),
+        ("train", "seed", 1.5),
+        ("model", "word_dim", 0),
+        ("train", "learning_rate", -1),
+        ("train", "dev_size", -1),
+        ("train", "clip_norm", float("inf")),
     ])
     def test_bad_run_config_values_rejected(
         self, run_dir, tmp_path, capsys, section, key, value
@@ -424,6 +433,23 @@ class TestVerifyCommand:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--states", "0"], "--states"),
+        (["verify", "--states", "-3"], "--states"),
+        (["generate", "--seed", "g", "--count", "-2", "--out", "x.joint"], "--count"),
+        (["generate", "--seed", "g", "--count", "2", "--out", "x.joint",
+          "--bucket", "5"], "--bucket"),
+    ])
+    def test_bad_integer_arguments_rejected(
+        self, tmp_path, monkeypatch, capsys, argv, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x.joint").exists()
+
     def test_missing_file_is_validation_failure(self, capsys):
         code, _out, stderr = run(
             capsys, "eval", "--gold", "missing.joint", "--pred", "missing.joint"

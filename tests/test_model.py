@@ -577,8 +577,11 @@ class TestCheckpoint:
             (lambda m: m.update(config=[50, 200, 200]), "config must hold exactly"),
             (lambda m: m.pop("config"), "config must hold exactly"),
             (lambda m: m.pop("vocabulary"), "lacks a vocabulary"),
+            (lambda m: m["config"].update(hidden_dim="4"), "hidden_dim must be an"),
+            (lambda m: m["config"].update(word_dim=0), "word_dim must be at least"),
         ],
-        ids=["unknown-key", "missing-key", "non-dict", "no-config", "no-vocabulary"],
+        ids=["unknown-key", "missing-key", "non-dict", "no-config", "no-vocabulary",
+             "string-dim", "zero-dim"],
     )
     def test_malformed_metadata_rejected(self, setup, tmp_path, corrupt, message):
         _, vocab, config, params = setup

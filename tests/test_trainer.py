@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import deep_tree
 
-from jointparse import trainer
+from jointparse import model, trainer, transition
 from jointparse.model import (
     LabelStep,
     ModelConfig,
@@ -49,13 +49,12 @@ def oracle_free_config(**kwargs):
     return TrainConfig(**defaults)
 
 
-def recorded_rollout(monkeypatch, gold, params, vocab, config, seed):
-    """`rollout` with the choosers it hands `trainer.derive` wrapped: returns
-    the example, every chooser call as (state, legal mask, picked action),
-    and the derivation's labeled spans."""
-    calls, derived = [], []
+def recording_derive(calls, derived):
+    """`transition.derive` with its two choosers wrapped: appends every
+    chooser call as (state, legal mask, picked action) to `calls` and the
+    derivation's labeled spans to `derived`."""
 
-    def recording_derive(n, chains, choose_structural, choose_label, edus=None):
+    def recording(n, chains, choose_structural, choose_label, edus=None):
         def structural(state, below, left, right, legal):
             pick = choose_structural(state, below, left, right, legal)
             calls.append((state, legal, STRUCTURAL_ACTIONS[pick]))
@@ -69,7 +68,15 @@ def recorded_rollout(monkeypatch, gold, params, vocab, config, seed):
         derived.append(derive(n, chains, structural, label, edus))
         return derived[-1]
 
-    monkeypatch.setattr(trainer, "derive", recording_derive)
+    return recording
+
+
+def recorded_rollout(monkeypatch, gold, params, vocab, config, seed):
+    """`rollout` with the choosers it hands `trainer.derive` wrapped: returns
+    the example, every chooser call as (state, legal mask, picked action),
+    and the derivation's labeled spans."""
+    calls, derived = [], []
+    monkeypatch.setattr(trainer, "derive", recording_derive(calls, derived))
     example = rollout(
         gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(seed)
     )
@@ -133,20 +140,49 @@ class TestRollout:
         assert [s.target for s in first_ex.steps] == [s.target for s in second_ex.steps]
 
     def test_beta_zero_is_greedy_decode(self, corpus, fresh, monkeypatch):
-        vocab, params = fresh
-        scorer = SpanScorer(params, vocab)
+        # At beta 0 every structural pick is the model's, so the rollout
+        # builds greedy decoding's spans; a label step takes its gold target
+        # at any beta, so each label is its span's gold chain or no-label.
         # Gold-EDU mode derives over EDUs, and EDU placeholder labels are
         # applied without a chooser call.
+        vocab, params = fresh
+        scorer = SpanScorer(params, vocab)
+
+        def extents(calls):
+            return [state.top for state, _, _ in calls if state.midpoint is not None]
+
         for mode in ("end2end", "goldedu"):
             config = oracle_free_config(beta=0.0, mode=mode)
             for gold in (d for d in corpus if len(extract_edus(d)) >= 2):
                 edus = extract_edus(gold) if mode == "goldedu" else None
-                _, _, spans = recorded_rollout(
+                _, calls, _ = recorded_rollout(
                     monkeypatch, gold, params, vocab, config, 0
                 )
-                words = [t.text for t in gold.tokens]
-                greedy = parse_greedy(scorer, words, edu_spans=edus)
-                assert spans == labeled_spans(greedy)
+                greedy_calls = []
+                monkeypatch.setattr(
+                    transition, "derive", recording_derive(greedy_calls, [])
+                )
+                parse_greedy(scorer, [t.text for t in gold.tokens], edu_spans=edus)
+                assert extents(calls) == extents(greedy_calls)
+                gold_map = unit_gold_map(gold, edus)
+                for state, _, action in calls:
+                    if state.midpoint is not None:
+                        assert action.chain == gold_map.get(state.top)
+
+    @pytest.mark.parametrize("mode", ["end2end", "goldedu"])
+    def test_label_steps_are_not_scored(self, corpus, fresh, monkeypatch, mode):
+        def refuse(*args):
+            raise AssertionError("the rollout scored a label step")
+
+        monkeypatch.setattr(model, "label_raw_scores", refuse)
+        monkeypatch.setattr(trainer, "label_raw_scores", refuse, raising=False)
+        vocab, params = fresh
+        config = oracle_free_config(beta=0.5, dropout=0.5, mode=mode)
+        for seed, gold in enumerate(corpus):
+            example = rollout(
+                gold, params, vocab, SMALL_MODEL, config, np.random.default_rng(seed)
+            )
+            assert example.steps
 
     def test_gold_edu_rollout_targets_discourse_only(self, corpus, fresh, monkeypatch):
         vocab, params = fresh
