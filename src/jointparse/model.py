@@ -32,6 +32,13 @@ projected rows, one product per head for the scores and for the output
 layer's gradients, and one scatter of the pre-activation gradients into
 the per-boundary rows; the loss itself is summed in step order.
 
+The loss takes the `Encoding` its steps were chosen on, so a training
+document runs through the encoder once, and consumes it: the head rows and
+boundary features go before the encoder's backward, and each LSTM cache as
+that backward reaches it.  Dropout masks are bool keep-masks, one byte per
+unit; each site multiplies by the mask and then by 1/keep, which equals the
+product with a float mask of 0 or 1/keep bit for bit.
+
 Everything is float64 numpy with hand-written backpropagation, so gradient
 correctness is checkable against central finite differences.
 """
@@ -324,8 +331,9 @@ def _lstm_backward(params, name, cache, d_states, grads):
 
 @dataclass
 class DropoutMasks:
-    layer1: np.ndarray    # (n, 2H) on the first layer's per-token outputs
-    features: np.ndarray  # (n+1, 4H) on the boundary features
+    layer1: np.ndarray    # (n, 2H) bool, on the first layer's per-token outputs
+    features: np.ndarray  # (n+1, 4H) bool, on the boundary features
+    keep: float           # 1 - rate; kept units are scaled by 1/keep at use
 
 
 def make_dropout_masks(n, config, rate, rng) -> DropoutMasks | None:
@@ -336,16 +344,27 @@ def make_dropout_masks(n, config, rate, rng) -> DropoutMasks | None:
     keep = 1.0 - rate
     H, D = config.hidden_dim, config.boundary_dim
     return DropoutMasks(
-        layer1=(rng.random((n, 2 * H)) < keep) / keep,
-        features=(rng.random((n + 1, D)) < keep) / keep,
+        layer1=rng.random((n, 2 * H)) < keep,
+        features=rng.random((n + 1, D)) < keep,
+        keep=keep,
     )
 
 
 def sample_hidden_mask(config, rate, rng):
+    """A bool keep-mask over the scorer's hidden units; `Encoding.scale`
+    scales it at use."""
     if rate <= 0.0:
         return None
-    keep = 1.0 - rate
-    return (rng.random(config.scorer_hidden) < keep) / keep
+    return rng.random(config.scorer_hidden) < 1.0 - rate
+
+
+def _dropped(x, mask, scale):
+    """`x` times a bool keep-mask, then times the inverted-dropout scale
+    1/keep, in place.  x * True is x exactly, so the result equals x times
+    the float mask (0 or 1/keep) bit for bit."""
+    x *= mask
+    x *= scale
+    return x
 
 
 @dataclass
@@ -361,6 +380,11 @@ class Encoding:
     def n(self):
         return len(self.ids)
 
+    @property
+    def scale(self):
+        """1/keep of the document's masks, which its step masks share."""
+        return 1.0 if self.masks is None else 1.0 / self.masks.keep
+
 
 def encode(params, ids, masks: DropoutMasks | None = None) -> Encoding:
     """Boundary features for one document (n >= 1 token ids)."""
@@ -373,14 +397,14 @@ def encode(params, ids, masks: DropoutMasks | None = None) -> Encoding:
     c1b = _lstm_forward(params, "lstm1b", E[::-1])
     out1 = np.concatenate([c1f.states[1:], c1b.states[1:][::-1]], axis=1)
     if masks is not None:
-        out1 *= masks.layer1
+        _dropped(out1, masks.layer1, 1.0 / masks.keep)
     c2f = _lstm_forward(params, "lstm2f", out1)
     c2b = _lstm_forward(params, "lstm2b", out1[::-1])
     F = np.concatenate(
         [c1f.states, c1b.states[::-1], c2f.states, c2b.states[::-1]], axis=1
     )
     if masks is not None:
-        F *= masks.features
+        _dropped(F, masks.features, 1.0 / masks.keep)
     caches = {"lstm1f": c1f, "lstm1b": c1b, "lstm2f": c2f, "lstm2b": c2b}
     D = F.shape[1]
     heads = {
@@ -392,21 +416,24 @@ def encode(params, ids, masks: DropoutMasks | None = None) -> Encoding:
     return Encoding(ids=ids, boundary=F, heads=heads, caches=caches, masks=masks)
 
 
-def _encoder_backward(params, enc: Encoding, dF_out) -> dict:
-    """Push boundary-feature gradients back to every encoder parameter.
-    Each layer's cache leaves `enc` as its backward pass uses it, which
-    lowers the peak memory of training."""
+def _encoder_backward(params, enc: Encoding, dF) -> dict:
+    """Push boundary-feature gradients `dF`, which it scales in place,
+    back to every encoder parameter.  Each layer's cache leaves `enc` as
+    its backward pass uses it, which lowers the peak memory of training."""
     H = params["lstm1f.Wh"].shape[1]
     grads = {}
-    dF = dF_out * enc.masks.features if enc.masks is not None else dF_out
+    masks = enc.masks
+    if masks is not None:
+        _dropped(dF, masks.features, enc.scale)
 
     def backward(name, d_states):
         return _lstm_backward(params, name, enc.caches.pop(name), d_states, grads)
 
     d2f = dF[:, 2 * H : 3 * H].copy()
     d2b = dF[:, 3 * H : 4 * H][::-1].copy()
-    d_out1d = backward("lstm2f", d2f) + backward("lstm2b", d2b)[::-1]
-    d_out1 = d_out1d * enc.masks.layer1 if enc.masks is not None else d_out1d
+    d_out1 = backward("lstm2f", d2f) + backward("lstm2b", d2b)[::-1]
+    if masks is not None:
+        _dropped(d_out1, masks.layer1, enc.scale)
 
     d1f = dF[:, 0:H].copy()
     d1f[1:] += d_out1[:, :H]
@@ -429,7 +456,7 @@ def _head_hidden(params, enc, head, positions, hmask):
             pre = pre + rows[p]
     hidden = np.maximum(pre, 0.0)
     if hmask is not None:
-        hidden = hidden * hmask
+        _dropped(hidden, hmask, enc.scale)
     return hidden
 
 
@@ -441,14 +468,16 @@ _HEAD_FIELDS = {
 }
 
 
-def _stack_masks(hmasks):
-    """Per-step hidden masks as rows of one array, where a step without a
-    mask reads ones; None when no step has one."""
+def _stack_masks(hmasks, scale):
+    """Per-step hidden masks as rows of one float array, mask * `scale`
+    (0 or 1/keep, the scaled product's factor exactly) where a step has
+    one and ones where it has none; None when no step has one."""
     shapes = {m.shape for m in hmasks if m is not None}
     if not shapes:
         return None
-    ones = np.ones(shapes.pop())
-    return np.array([ones if m is None else m for m in hmasks])
+    ones = np.ones(shapes.pop(), dtype=bool)
+    rows = np.array([ones if m is None else m for m in hmasks])
+    return rows * np.array([1.0 if m is None else scale for m in hmasks])[:, None]
 
 
 def _block_loss(params, enc, grads, dheads, steps):
@@ -461,7 +490,7 @@ def _block_loss(params, enc, grads, dheads, steps):
     for head in heads:
         reads, mask_field = _HEAD_FIELDS[head]
         positions = np.array([[getattr(s, r) for s in steps] for r in reads])
-        hmasks = _stack_masks([getattr(s, mask_field) for s in steps])
+        hmasks = _stack_masks([getattr(s, mask_field) for s in steps], enc.scale)
         pre = params[f"{head}.b1"]
         for rows, p in zip(enc.heads[head], positions):
             # the sentinel boundary -1 reads a zero vector
@@ -573,12 +602,16 @@ def _masked_nll(scores, legal, target):
 LOSS_BLOCK = 256
 
 
-def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
+def loss_and_gradients(params, enc: Encoding, steps):
     """Summed negative log-likelihood of the per-step targets, with exact
-    gradients for every parameter.  Steps of one kind are scored together
-    in blocks of LOSS_BLOCK, and the loss is summed in step order.  Raises
-    on an illegal target or a non-finite loss, naming the first bad step."""
-    enc = encode(params, ids, masks)
+    gradients for every parameter, on the encoding (and dropout masks) the
+    steps were taken on, which it consumes.  Steps of one kind are scored
+    together in blocks of LOSS_BLOCK, and the loss is summed in step order.
+    Raises on an illegal target or a non-finite loss, naming the first bad
+    step, and on an encoding already consumed or stripped for scoring."""
+    if enc.boundary is None:
+        raise ModelError("encoding already consumed or stripped for scoring; "
+                         "encode the document again")
     # Encoder gradients arrive whole from _encoder_backward; zero arrays for
     # them would only raise the peak memory.
     grads = zero_gradients(
@@ -611,7 +644,9 @@ def loss_and_gradients(params, ids, steps, masks: DropoutMasks | None = None):
         )
 
     dF = _projection_backward(params, grads, enc, dheads)
-    del dheads, enc.heads, enc.boundary  # free them before the encoder's backward
+    # Free these before the encoder's backward.
+    del dheads
+    enc.heads = enc.boundary = None
     grads.update(_encoder_backward(params, enc, dF))
     return float(running[-1]) if scored else 0.0, {key: grads[key] for key in params}
 

@@ -11,7 +11,10 @@ mistakes would lead to.  A label action never moves the stack, so a label
 step returns its gold target unscored.  Each step draws its hidden
 dropout masks (shift then combine, or the label mask), then the beta
 draw, which a label step ignores: it is kept only to fix the random
-stream.  Updates are per document; the best-dev checkpoint is retained.
+stream.  The rollout's encoding, with its LSTM caches and dropout masks,
+goes with the steps to the loss, so each training document is encoded
+once per epoch.  Updates are per document; the best-dev checkpoint is
+retained.
 """
 
 import os
@@ -24,6 +27,7 @@ import numpy as np
 from . import evaluate
 from .model import (
     AT_LEAST_1,
+    Encoding,
     LabelStep,
     ModelConfig,
     SpanScorer,
@@ -83,9 +87,8 @@ class TrainConfig:
 
 @dataclass
 class TrainingExample:
-    ids: np.ndarray
+    enc: Encoding    # consumed by `loss_and_gradients`
     steps: list
-    masks: object = None
 
 
 def _token_ids(gold, vocab, config, rng):
@@ -103,10 +106,10 @@ def _token_ids(gold, vocab, config, rng):
 
 
 def rollout(gold, params, vocab, model_config, config, rng):
-    """One pass over a document; returns its TrainingExample, the per-step
-    targets and the dropout masks the loss needs, and keeps nothing else.
-    Steps run over units: tokens, or EDUs in gold-EDU mode, where only
-    discourse spans are targets."""
+    """One pass over a document; returns its TrainingExample, the encoding
+    the choosers scored on and the per-step targets, which the loss needs,
+    and keeps nothing else.  Steps run over units: tokens, or EDUs in
+    gold-EDU mode, where only discourse spans are targets."""
     n = len(gold.tokens)
     edus = extract_edus(gold) if config.mode == GOLD_EDU else None
     gold_map = unit_gold_map(gold, edus)
@@ -114,9 +117,6 @@ def rollout(gold, params, vocab, model_config, config, rng):
     ids = _token_ids(gold, vocab, config, rng)
     masks = make_dropout_masks(n, model_config, config.dropout, rng)
     enc = encode(params, ids, masks)
-    # The choosers read only the projected head rows.
-    enc.caches.clear()
-    enc.boundary = None
     steps = []
 
     def hidden_mask():
@@ -146,7 +146,7 @@ def rollout(gold, params, vocab, model_config, config, rng):
         return target
 
     derive(n, vocab.inventory(), structural, label, edus)
-    return TrainingExample(ids, steps, masks)
+    return TrainingExample(enc, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def train(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     for epoch in range(1, config.epochs + 1):
-        started = time.time()
+        started = time.perf_counter()
         total_loss = 0.0
         for doc_index in rng.permutation(len(train_docs)):
             gold = train_docs[doc_index]
@@ -275,9 +275,7 @@ def train(
             if not example.steps:
                 continue  # single-EDU document in gold-EDU mode: fully forced
             try:
-                loss, grads = loss_and_gradients(
-                    params, example.ids, example.steps, example.masks
-                )
+                loss, grads = loss_and_gradients(params, example.enc, example.steps)
             except ValueError as err:
                 raise TrainingDiverged(
                     f"epoch {epoch}, document {doc_index}: {err}"
@@ -295,7 +293,7 @@ def train(
             "dev_struct_f1": metrics["struct_f1"],
             "dev_nuc_f1": metrics["nuc_f1"],
             "dev_rel_f1": metrics["rel_f1"],
-            "seconds": round(time.time() - started, 3),
+            "seconds": round(time.perf_counter() - started, 3),
         }
         result.history.append(entry)
         if log is not None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trainer
-from .model import ModelConfig, Vocabulary, init_parameters, loss_and_gradients
+from .model import ModelConfig, Vocabulary, encode, init_parameters, loss_and_gradients
 from .synthetic import generate_synthetic
 from .transition import (
     LABEL,
@@ -174,7 +174,9 @@ def relative_error(a, b) -> float:
 def finite_difference_check(
     params, ids, steps, keys=None, coords_per_array=6, h=1e-4, seed=0, masks=None
 ):
-    """Central finite differences against the analytic gradient.
+    """Central finite differences against the analytic gradient.  Every
+    loss, the analytic one included, is taken on a fresh
+    `encode(params, ids, masks)`, since the loss consumes its encoding.
 
     A coordinate whose +-h interval straddles a rectifier kink makes the
     finite difference itself a bad derivative estimate, so each coordinate
@@ -185,12 +187,12 @@ def finite_difference_check(
     (key, index, analytic, numeric, error) for every checked coordinate.
     """
     rng = np.random.default_rng(seed)
-    _, grads = loss_and_gradients(params, ids, steps, masks)
+    _, grads = loss_and_gradients(params, encode(params, ids, masks), steps)
 
     def loss_at(array, index, value):
         original = array[index]
         array[index] = value
-        loss, _ = loss_and_gradients(params, ids, steps, masks)
+        loss, _ = loss_and_gradients(params, encode(params, ids, masks), steps)
         array[index] = original
         return loss
 
@@ -243,19 +245,24 @@ def _oracle_examples(n_docs, seed, dropout=0.0):
 def run_gradcheck_suite(
     n_docs=3, coords_per_array=6, tolerance=1e-4, seed=7, progress=None
 ) -> SuiteReport:
-    """Check every parameter array on oracle rollouts of random documents."""
+    """Check every parameter array on oracle rollouts of random documents
+    without dropout, and on one more rolled out at dropout 0.5, which
+    covers the bool dropout masks and their 1/keep scaling."""
     params, examples = _oracle_examples(n_docs, seed)
+    dropout_params, dropout_examples = _oracle_examples(1, seed, dropout=0.5)
+    cases = [(params, example) for example in examples]
+    cases += [(dropout_params, example) for example in dropout_examples]
     report = SuiteReport()
     worst = 0.0
     skipped = 0
-    for doc_index, example in enumerate(examples):
+    for doc_index, (case_params, example) in enumerate(cases):
         worst_doc, rows, doc_skipped = finite_difference_check(
-            params,
-            example.ids,
+            case_params,
+            example.enc.ids,
             example.steps,
             coords_per_array=coords_per_array,
             seed=seed + doc_index,
-            masks=example.masks,
+            masks=example.enc.masks,
         )
         worst = max(worst, worst_doc)
         skipped += doc_skipped
@@ -268,7 +275,7 @@ def run_gradcheck_suite(
                 )
         if progress is not None:
             progress(
-                f"gradient check: document {doc_index + 1}/{len(examples)}, "
+                f"gradient check: document {doc_index + 1}/{len(cases)}, "
                 f"worst relative error {worst:.2e}"
             )
     report.details["worst_error"] = worst

@@ -10,6 +10,7 @@ from conftest import deep_tree
 from jointparse import model
 from jointparse.model import (
     LOSS_BLOCK,
+    DropoutMasks,
     LabelStep,
     ModelConfig,
     ModelError,
@@ -18,6 +19,7 @@ from jointparse.model import (
     Vocabulary,
     encode,
     _activate,
+    _dropped,
     _encoder_backward,
     _halved,
     init_parameters,
@@ -96,20 +98,20 @@ def _reference_boundary(params, ids, masks):
     l1f, l1b = run("lstm1f", E), run("lstm1b", E[::-1])[::-1]
     out1 = np.concatenate([l1f[1:], l1b[:-1]], axis=1)
     if masks is not None:
-        out1 = out1 * masks.layer1
+        out1 = out1 * (masks.layer1 / masks.keep)
     l2f, l2b = run("lstm2f", out1), run("lstm2b", out1[::-1])[::-1]
     F = np.concatenate([l1f, l1b, l2f, l2b], axis=1)
-    return F * masks.features if masks is not None else F
+    return F * (masks.features / masks.keep) if masks is not None else F
 
 
-def _reference_score(params, boundary, head, positions, hmask):
-    """A head applied to the concatenated boundary vectors; the sentinel
-    boundary -1 reads zeros."""
+def _reference_score(params, boundary, head, positions, hmask, keep=1.0):
+    """A head applied to the concatenated boundary vectors, its bool hidden
+    mask scaled by 1/keep; the sentinel boundary -1 reads zeros."""
     zero = np.zeros(boundary.shape[1])
     x = np.concatenate([boundary[p] if p >= 0 else zero for p in positions])
     hidden = np.maximum(params[f"{head}.W1"] @ x + params[f"{head}.b1"], 0.0)
     if hmask is not None:
-        hidden = hidden * hmask
+        hidden = hidden * (hmask / keep)
     if head == "label":
         return params["label.W2"] @ hidden + params["label.b2"]
     return params[f"{head}.w2"] @ hidden + params[f"{head}.b2"][0]
@@ -137,7 +139,7 @@ def _reference_loss(params, ids, steps, masks):
         for head, positions, hmask in reads:
             x = np.concatenate([F[p] if p >= 0 else np.zeros(D) for p in positions])
             pre = params[f"{head}.W1"] @ x + params[f"{head}.b1"]
-            keep = np.ones_like(pre) if hmask is None else hmask
+            keep = np.ones_like(pre) if hmask is None else hmask / masks.keep
             W2 = params["label.W2"] if head == "label" else params[f"{head}.w2"][None]
             hidden = np.maximum(pre, 0.0) * keep
             heads.append((head, positions, keep, x, pre, hidden, W2))
@@ -325,9 +327,9 @@ class TestEncode:
                 hmask_shift, hmask_combine = hmask(), hmask()
                 expected = [
                     _reference_score(params, boundary, "shift", (left, right),
-                                     hmask_shift),
+                                     hmask_shift, 1.0 - rate),
                     _reference_score(params, boundary, "combine", (below, left, right),
-                                     hmask_combine),
+                                     hmask_combine, 1.0 - rate),
                 ]
                 got = structural_raw_scores(
                     params, enc, below, left, right, hmask_shift, hmask_combine
@@ -340,7 +342,8 @@ class TestEncode:
             for left, mid, right in [(0, 0, 1), (6, 6, 7), (0, 3, 7), (2, 4, 5)]:
                 label_hmask = hmask()
                 expected = _reference_score(
-                    params, boundary, "label", (left, mid, right), label_hmask
+                    params, boundary, "label", (left, mid, right), label_hmask,
+                    1.0 - rate,
                 )
                 got = label_raw_scores(params, enc, left, mid, right, label_hmask)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
@@ -352,7 +355,7 @@ class TestEncode:
 class TestLoss:
     def test_zero_steps(self, setup):
         _, _, _, params = setup
-        loss, grads = loss_and_gradients(params, [1, 2], [])
+        loss, grads = loss_and_gradients(params, encode(params, [1, 2]), [])
         assert loss == 0.0
         assert all(not array.any() for array in grads.values())
 
@@ -362,9 +365,11 @@ class TestLoss:
             below=-1, left=0, right=1, legal=(True, False), target=0
         )
         label = _label_step(params)
-        one, _ = loss_and_gradients(params, [1, 2], [step, label])
-        two, _ = loss_and_gradients(params, [1, 2], [step, label, label])
-        single, _ = loss_and_gradients(params, [1, 2], [step])
+        one, _ = loss_and_gradients(params, encode(params, [1, 2]), [step, label])
+        two, _ = loss_and_gradients(
+            params, encode(params, [1, 2]), [step, label, label]
+        )
+        single, _ = loss_and_gradients(params, encode(params, [1, 2]), [step])
         assert two - one == pytest.approx(one - single)
 
     def test_dropout_masks_change_loss_but_not_shape(self, setup):
@@ -372,8 +377,12 @@ class TestLoss:
         rng = np.random.default_rng(0)
         masks = make_dropout_masks(2, config, 0.5, rng)
         label = _label_step(params)
-        loss_plain, grads_plain = loss_and_gradients(params, [1, 2], [label])
-        loss_drop, grads_drop = loss_and_gradients(params, [1, 2], [label], masks)
+        loss_plain, grads_plain = loss_and_gradients(
+            params, encode(params, [1, 2]), [label]
+        )
+        loss_drop, grads_drop = loss_and_gradients(
+            params, encode(params, [1, 2], masks), [label]
+        )
         assert set(grads_plain) == set(grads_drop)
         assert loss_plain != pytest.approx(loss_drop)
 
@@ -383,7 +392,7 @@ class TestLoss:
         broken["label.b2"] = broken["label.b2"] + np.nan
         label = _label_step(params)
         with pytest.raises(ModelError, match="step 0"):
-            loss_and_gradients(broken, [1, 2], [label])
+            loss_and_gradients(broken, encode(broken, [1, 2]), [label])
 
 
     def test_illegal_target_reported_with_step(self, setup):
@@ -392,10 +401,95 @@ class TestLoss:
         illegal = _label_step(params, target=0)
         illegal.legal[0] = False  # the driver's mask at the full-document span
         with pytest.raises(ModelError, match="(?s)step 1 .*target slot 0 is not legal"):
-            loss_and_gradients(params, [1, 2], [legal, illegal])
+            loss_and_gradients(params, encode(params, [1, 2]), [legal, illegal])
         shift = StructuralStep(below=-1, left=0, right=1, legal=(False, True), target=0)
         with pytest.raises(ModelError, match="(?s)step 0 .*target slot 0 is not legal"):
-            loss_and_gradients(params, [1, 2], [shift])
+            loss_and_gradients(params, encode(params, [1, 2]), [shift])
+
+    def test_consumed_encoding_rejected(self, setup):
+        _, vocab, _, params = setup
+        label = _label_step(params)
+        enc = encode(params, [1, 2])
+        loss_and_gradients(params, enc, [label])
+        assert not enc.caches and enc.heads is None
+        with pytest.raises(ModelError, match="encode the document again"):
+            loss_and_gradients(params, enc, [label])
+        # Inference scoring strips the caches and features the loss needs.
+        scorer = SpanScorer(params, vocab)
+        scorer.prepare(vocab.words[1:3])
+        with pytest.raises(ModelError, match="encode the document again"):
+            loss_and_gradients(params, scorer.enc, [label])
+
+
+class TestDropoutMasks:
+    def test_scaled_bool_mask_is_the_float_mask_product(self):
+        rng = np.random.default_rng(29)
+        keep = 0.7  # 1/0.7 is inexact in binary
+        x = np.concatenate([
+            rng.normal(size=2000) * 10.0,
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-308, -5e-324, 1e308],
+        ])
+        mask = rng.random(x.shape) < keep
+        mask[-8:] = [True, True, True, False, True, False, True, True]
+        with np.errstate(invalid="ignore"):  # inf times a dropped unit
+            got = _dropped(x.copy(), mask, 1.0 / keep)
+            want = x * (mask / keep)
+        assert got.tobytes() == want.tobytes()
+
+    def test_bool_masks_match_float_masks_bit_for_bit(self, setup):
+        # The float masks the model once stored, 0 or 1/keep, are the
+        # reference: masks holding them with keep 1 run exactly the old
+        # products, which the bool masks scaled at use must equal.
+        _, vocab, config, params = setup
+        rng = np.random.default_rng(31)
+        rate = 0.3
+        ids = rng.integers(0, vocab.n_words, 11)
+        masks = make_dropout_masks(len(ids), config, rate, rng)
+        assert masks.layer1.dtype == bool and masks.features.dtype == bool
+        assert masks.keep == 1.0 - rate
+
+        def hmask():  # some steps without a mask among masked ones
+            return sample_hidden_mask(config, rate, rng) if rng.random() < 0.8 else None
+
+        steps = _random_steps(2 * LOSS_BLOCK, len(ids), vocab.label_dim, hmask, rng)
+        mask_fields = ("hmask_shift", "hmask_combine", "hmask")
+        float_steps = copy.deepcopy(steps)
+        for step in float_steps:
+            for name in mask_fields:
+                mask = getattr(step, name, None)
+                if mask is not None:
+                    assert mask.dtype == bool
+                    setattr(step, name, mask / masks.keep)
+        float_masks = DropoutMasks(
+            masks.layer1 / masks.keep, masks.features / masks.keep, keep=1.0
+        )
+        enc = encode(params, ids, masks)
+        old = encode(params, ids, float_masks)
+        assert np.array_equal(enc.boundary, old.boundary)
+        for head, blocks in enc.heads.items():
+            for rows, old_rows in zip(blocks, old.heads[head]):
+                assert np.array_equal(rows, old_rows)
+        for step, float_step in list(zip(steps, float_steps))[:40]:
+            if isinstance(step, LabelStep):
+                got = label_raw_scores(params, enc, step.left, step.mid, step.right,
+                                       step.hmask)
+                want = label_raw_scores(params, old, step.left, step.mid,
+                                        step.right, float_step.hmask)
+            else:
+                got = structural_raw_scores(
+                    params, enc, step.below, step.left, step.right,
+                    step.hmask_shift, step.hmask_combine,
+                )
+                want = structural_raw_scores(
+                    params, old, step.below, step.left, step.right,
+                    float_step.hmask_shift, float_step.hmask_combine,
+                )
+            assert np.array_equal(got, want)
+        loss, grads = loss_and_gradients(params, enc, steps)
+        want_loss, want = loss_and_gradients(params, old, float_steps)
+        assert loss == want_loss
+        for key, array in want.items():
+            assert np.array_equal(grads[key], array), key
 
 
 class TestStackedLoss:
@@ -413,7 +507,7 @@ class TestStackedLoss:
         steps = _random_steps(5 * LOSS_BLOCK, len(ids), vocab.label_dim, hmask, rng)
         assert any(getattr(s, "below", 0) == -1 for s in steps)
         assert any(isinstance(s, LabelStep) and s.right - s.left == 1 for s in steps)
-        loss, grads = loss_and_gradients(params, ids, steps, masks)
+        loss, grads = loss_and_gradients(params, encode(params, ids, masks), steps)
         want_loss, want = _reference_loss(params, ids, steps, masks)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
         for key, array in want.items():
@@ -431,10 +525,12 @@ class TestStackedLoss:
         ids = rng.integers(0, vocab.n_words, 40)
         masks = make_dropout_masks(len(ids), config, rate, rng)
         steps = _random_steps(60, len(ids), vocab.label_dim, lambda: None, rng)
-        loss, grads = loss_and_gradients(params, ids, steps, masks)
+        loss, grads = loss_and_gradients(params, encode(params, ids, masks), steps)
         monkeypatch.setattr(model, "_lstm_forward", _gate_keeping_forward)
         monkeypatch.setattr(model, "_lstm_backward", _gate_reading_backward)
-        want_loss, want = loss_and_gradients(params, ids, steps, masks)
+        want_loss, want = loss_and_gradients(
+            params, encode(params, ids, masks), steps
+        )
         assert loss == want_loss
         for key, array in want.items():
             scale = np.abs(array).max()
@@ -448,9 +544,13 @@ class TestStackedLoss:
         illegal = StructuralStep(below=-1, left=0, right=1, legal=(False, True),
                                  target=0)
         with pytest.raises(ModelError, match="non-finite loss at step 1"):
-            loss_and_gradients(params, [1, 2], [ok, poisoned, illegal, ok])
+            loss_and_gradients(
+                params, encode(params, [1, 2]), [ok, poisoned, illegal, ok]
+            )
         with pytest.raises(ModelError, match="(?s)step 1 .*target slot 0 is not legal"):
-            loss_and_gradients(params, [1, 2], [ok, illegal, poisoned, ok])
+            loss_and_gradients(
+                params, encode(params, [1, 2]), [ok, illegal, poisoned, ok]
+            )
 
 
 class TestCheckpoint:

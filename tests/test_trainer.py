@@ -11,6 +11,7 @@ from jointparse.model import (
     SpanScorer,
     StructuralStep,
     Vocabulary,
+    encode,
     init_parameters,
     load_checkpoint,
     loss_and_gradients,
@@ -135,7 +136,7 @@ class TestRollout:
         second_ex, second_calls, _ = recorded_rollout(
             monkeypatch, corpus[0], params, vocab, config, 7
         )
-        assert np.array_equal(first_ex.ids, second_ex.ids)
+        assert np.array_equal(first_ex.enc.ids, second_ex.enc.ids)
         assert [a for _, _, a in first_calls] == [a for _, _, a in second_calls]
         assert [s.target for s in first_ex.steps] == [s.target for s in second_ex.steps]
 
@@ -238,13 +239,40 @@ class TestRollout:
                 example = rollout(
                     doc, params, vocab, SMALL_MODEL, config, np.random.default_rng(2)
                 )
-                loss_and_gradients(params, example.ids, example.steps, example.masks)
+                loss_and_gradients(params, example.enc, example.steps)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         short, long = peak(deep_tree(100)), peak(deep_tree(200))  # 201, 401 tokens
         assert long <= 2.3 * short, (short, long)
+
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", ["end2end", "goldedu"])
+    def test_loss_on_rollout_encoding_equals_fresh_encode(
+        self, corpus, fresh, mode, dropout
+    ):
+        vocab, params = fresh
+        config = oracle_free_config(beta=0.5, dropout=dropout, mode=mode)
+        rng = np.random.default_rng(3)
+        checked = 0
+        for gold in corpus:
+            example = rollout(gold, params, vocab, SMALL_MODEL, config, rng)
+            enc = example.enc
+            assert (enc.masks is not None) == (dropout > 0.0)
+            if not example.steps:
+                continue
+            want_loss, want = loss_and_gradients(
+                params, encode(params, enc.ids, enc.masks), example.steps
+            )
+            loss, grads = loss_and_gradients(params, enc, example.steps)
+            assert loss == want_loss
+            assert grads.keys() == want.keys()
+            for key, array in want.items():
+                assert np.array_equal(grads[key], array), key
+            checked += 1
+        assert checked
 
 
 class TestAdam:
@@ -368,6 +396,25 @@ class TestTrain:
         monkeypatch.setattr(trainer, "loss_and_gradients", explode)
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             train(corpus, oracle_free_config(epochs=1), SMALL_MODEL)
+
+    @pytest.mark.parametrize("mode", ["end2end", "goldedu"])
+    def test_each_document_encoded_once_per_epoch(self, corpus, monkeypatch, mode):
+        # The rollout's encoding feeds the loss; dev decoding encodes each
+        # dev document once more.
+        encoded = []
+        original = model.encode
+
+        def counting(params, ids, masks=None):
+            encoded.append(len(ids))
+            return original(params, ids, masks)
+
+        monkeypatch.setattr(model, "encode", counting)
+        monkeypatch.setattr(trainer, "encode", counting)
+        config = oracle_free_config(epochs=2, dev_size=2, dropout=0.5, mode=mode)
+        train(corpus, config, SMALL_MODEL)
+        assert len(encoded) == config.epochs * len(corpus)
+        tokens = sum(len(doc.tokens) for doc in corpus)
+        assert sum(encoded) == config.epochs * tokens
 
     def test_empty_treebank_rejected(self):
         with pytest.raises(ValueError, match="empty"):

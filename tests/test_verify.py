@@ -65,7 +65,7 @@ def test_gradcheck_with_dropout_masks():
 
     params, examples = _oracle_examples(2, seed=13, dropout=0.5)
     for doc_index, example in enumerate(examples):
-        assert example.masks is not None
+        assert example.enc.masks is not None
         assert all(
             step.hmask is not None
             if isinstance(step, LabelStep)
@@ -73,11 +73,39 @@ def test_gradcheck_with_dropout_masks():
             for step in example.steps
         )
         worst, rows, _skipped = finite_difference_check(
-            params, example.ids, example.steps, coords_per_array=4,
-            seed=doc_index, masks=example.masks,
+            params, example.enc.ids, example.steps, coords_per_array=4,
+            seed=doc_index, masks=example.enc.masks,
         )
         assert rows
         assert worst <= 1e-4
+
+
+def test_gradcheck_suite_covers_a_dropout_document(monkeypatch):
+    # Two documents without dropout, then one rolled out at dropout 0.5,
+    # whose bool masks the check runs through.
+    import jointparse.verify as verify_module
+
+    seen = []
+    original = verify_module.finite_difference_check
+
+    def recording(params, ids, steps, **kwargs):
+        seen.append((kwargs.get("masks"), steps))
+        return original(params, ids, steps, **kwargs)
+
+    monkeypatch.setattr(verify_module, "finite_difference_check", recording)
+    report = run_gradcheck_suite(n_docs=2, coords_per_array=2, seed=11)
+    assert report.ok
+    assert [masks is None for masks, _ in seen] == [True, True, False]
+    masks, steps = seen[-1]
+    assert masks.layer1.dtype == bool and masks.features.dtype == bool
+    assert all(
+        mask.dtype == bool
+        for step in steps
+        for mask in (
+            (step.hmask,) if isinstance(step, LabelStep)
+            else (step.hmask_shift, step.hmask_combine)
+        )
+    )
 
 
 def test_finite_difference_flags_wrong_gradient(monkeypatch):
@@ -89,13 +117,13 @@ def test_finite_difference_flags_wrong_gradient(monkeypatch):
     example = examples[0]
     original = verify_module.loss_and_gradients
 
-    def corrupted(params_, ids, steps, masks=None):
-        loss, grads = original(params_, ids, steps, masks)
+    def corrupted(params_, enc, steps):
+        loss, grads = original(params_, enc, steps)
         return loss, {k: v + 0.01 for k, v in grads.items()}
 
     monkeypatch.setattr(verify_module, "loss_and_gradients", corrupted)
     worst, rows, _skipped = finite_difference_check(
-        params, example.ids, example.steps, coords_per_array=2, seed=1
+        params, example.enc.ids, example.steps, coords_per_array=2, seed=1
     )
     assert worst > 1e-4  # the checker sees through a broken gradient
     assert any(err > 1e-4 for *_rest, err in rows)
