@@ -30,7 +30,8 @@ tanh, using sigmoid(z) = tanh(z/2)/2 + 1/2 on rows pre-scaled by 1/2.
 The loss stacks its steps by kind, in fixed-size blocks: one gather of
 projected rows, one product per head for the scores and for the output
 layer's gradients, and one scatter of the pre-activation gradients into
-the per-boundary rows; the loss itself is summed in step order.
+the per-boundary rows; the loss itself is summed in step order.  Greedy
+decoding scores its label sites with the same stacked forward.
 
 The loss takes the `Encoding` its steps were chosen on, so a training
 document runs through the encoder once, and consumes it: the head rows and
@@ -449,17 +450,6 @@ def _encoder_backward(params, enc: Encoding, dF) -> dict:
 # scoring heads
 
 
-def _head_hidden(params, enc, head, positions, hmask):
-    pre = params[f"{head}.b1"]
-    for rows, p in zip(enc.heads[head], positions):
-        if p >= 0:  # the sentinel boundary -1 reads a zero vector
-            pre = pre + rows[p]
-    hidden = np.maximum(pre, 0.0)
-    if hmask is not None:
-        _dropped(hidden, hmask, enc.scale)
-    return hidden
-
-
 # Per head: the step fields holding the boundaries it reads, and its mask.
 _HEAD_FIELDS = {
     "shift": (("left", "right"), "hmask_shift"),
@@ -480,41 +470,68 @@ def _stack_masks(hmasks, scale):
     return rows * np.array([1.0 if m is None else scale for m in hmasks])[:, None]
 
 
+def _output_key(head):
+    return "label.W2" if head == "label" else f"{head}.w2"
+
+
+def _stacked_head(params, enc, head, positions, hmasks=None):
+    """One head's forward over a stack of steps, one row each: `positions`
+    holds a row of boundaries per column block the head reads, and
+    `hmasks` the scaled hidden masks (see `_stack_masks`) or None.  Each
+    row's pre-activation sums b1 and its projected rows in place, in the
+    order of a single step's (`label_raw_scores`).  Returns the hidden
+    layer, the output weights as rows and the scores."""
+    hidden = None
+    for rows, p in zip(enc.heads[head], positions):
+        read = rows[p]
+        sentinel = p < 0
+        if sentinel.any():  # the sentinel boundary -1 reads a zero vector
+            read[sentinel] = 0.0
+        if hidden is None:
+            hidden = read
+            hidden += params[f"{head}.b1"]  # b1 + read, bit for bit
+        else:
+            hidden += read
+    np.maximum(hidden, 0.0, out=hidden)
+    if hmasks is not None:
+        hidden *= hmasks
+    # a scalar head's w2 as one row
+    W2 = params[_output_key(head)].reshape(-1, hidden.shape[1])
+    scores = hidden @ W2.T
+    scores += params[f"{head}.b2"]
+    return hidden, W2, scores
+
+
 def _block_loss(params, enc, grads, dheads, steps):
     """Per-step negative log-likelihoods of steps of one kind, with each
-    head's forward and backward done as stacked products over the steps.
-    Gradients accumulate into `grads`, and each read boundary's row of
-    `dheads` collects its steps' pre-activation gradients."""
+    head's forward (`_stacked_head`) and backward done as stacked products
+    over the steps.  Gradients accumulate into `grads`, and each read
+    boundary's row of `dheads` collects its steps' pre-activation
+    gradients."""
     heads = ("label",) if isinstance(steps[0], LabelStep) else ("shift", "combine")
     layers, scores = [], []
     for head in heads:
         reads, mask_field = _HEAD_FIELDS[head]
         positions = np.array([[getattr(s, r) for s in steps] for r in reads])
         hmasks = _stack_masks([getattr(s, mask_field) for s in steps], enc.scale)
-        pre = params[f"{head}.b1"]
-        for rows, p in zip(enc.heads[head], positions):
-            # the sentinel boundary -1 reads a zero vector
-            pre = pre + np.where((p >= 0)[:, None], rows[p], 0.0)
-        hidden = np.maximum(pre, 0.0)
-        if hmasks is not None:
-            hidden *= hmasks
-        out = "label.W2" if head == "label" else f"{head}.w2"
-        W2 = params[out].reshape(-1, hidden.shape[1])  # a scalar head's w2: one row
-        scores.append(hidden @ W2.T + params[f"{head}.b2"])
-        layers.append((head, positions, hmasks, pre, hidden, out, W2))
+        hidden, W2, head_scores = _stacked_head(params, enc, head, positions, hmasks)
+        scores.append(head_scores)
+        layers.append((head, positions, hmasks, hidden, W2))
     legal = np.array([s.legal for s in steps], dtype=bool)
     nll, dscores = _masked_nll(np.hstack(scores), legal, [s.target for s in steps])
     splits = np.cumsum([block.shape[1] for block in scores])[:-1]
-    for (head, positions, hmasks, pre, hidden, out, W2), d in zip(
+    for (head, positions, hmasks, hidden, W2), d in zip(
         layers, np.hsplit(dscores, splits)
     ):
-        dW2 = grads[out].reshape(W2.shape)
+        dW2 = grads[_output_key(head)].reshape(W2.shape)
         dW2 += d.T @ hidden
         grads[f"{head}.b2"] += d.sum(axis=0)
         dpre = d @ W2
         if hmasks is not None:
             dpre *= hmasks
-        dpre *= pre > 0
+        # A unit is live where its pre-activation is positive; where a mask
+        # zeroed a live unit, dpre is already 0 from the line above.
+        dpre *= hidden > 0
         grads[f"{head}.b1"] += dpre.sum(axis=0)
         for drows, p in zip(dheads[head], positions):
             read = p >= 0
@@ -566,22 +583,50 @@ class LabelStep:
     hmask: np.ndarray | None = None
 
 
+def _structural_scores(params, enc, below, left, right, hmask_shift, hmask_combine):
+    """`structural_raw_scores` as two Python floats.  Each head sums its
+    projected rows onto b1 in place, in the order of the boundaries it
+    reads, then applies ReLU, its hidden mask and its output dot."""
+    (s0, s1), (c0, c1, c2) = enc.heads["shift"], enc.heads["combine"]
+    b1_shift, b1_combine = params["shift.b1"], params["combine.b1"]
+    # Boundary -1, the sentinel, reads a zero vector: its term is left out.
+    # Only `below` and `left` can be the sentinel.
+    shift = b1_shift + s0[left] if left >= 0 else b1_shift.copy()
+    shift += s1[right]
+    combine = b1_combine + c0[below] if below >= 0 else b1_combine.copy()
+    if left >= 0:
+        combine += c1[left]
+    combine += c2[right]
+    np.maximum(shift, 0.0, out=shift)
+    np.maximum(combine, 0.0, out=combine)
+    if hmask_shift is not None:
+        _dropped(shift, hmask_shift, enc.scale)
+    if hmask_combine is not None:
+        _dropped(combine, hmask_combine, enc.scale)
+    return (
+        float(params["shift.w2"] @ shift + params["shift.b2"][0]),
+        float(params["combine.w2"] @ combine + params["combine.b2"][0]),
+    )
+
+
 def structural_raw_scores(params, enc, below, left, right,
                           hmask_shift=None, hmask_combine=None):
     """Unmasked (shift, combine) scores of the top span (left, right) over
     the span starting at `below`."""
-    h_sh = _head_hidden(params, enc, "shift", (left, right), hmask_shift)
-    h_cb = _head_hidden(params, enc, "combine", (below, left, right), hmask_combine)
-    return np.array([
-        params["shift.w2"] @ h_sh + params["shift.b2"][0],
-        params["combine.w2"] @ h_cb + params["combine.b2"][0],
-    ])
+    return np.array(_structural_scores(
+        params, enc, below, left, right, hmask_shift, hmask_combine
+    ))
 
 
 def label_raw_scores(params, enc, left, mid, right, hmask=None):
     """Unmasked scores over the label slots of the span (left, right) split
     at `mid`."""
-    hidden = _head_hidden(params, enc, "label", (left, mid, right), hmask)
+    pre = params["label.b1"]
+    for rows, p in zip(enc.heads["label"], (left, mid, right)):
+        pre = pre + rows[p]
+    hidden = np.maximum(pre, 0.0)
+    if hmask is not None:
+        _dropped(hidden, hmask, enc.scale)
     return params["label.W2"] @ hidden + params["label.b2"]
 
 
@@ -598,7 +643,8 @@ def _masked_nll(scores, legal, target):
     return -logp[rows, target], dscores
 
 
-# Steps per stacked product in the loss: bounds its temporaries at any length.
+# Steps per stacked product in the loss, and label sites per stacked product
+# in greedy decoding: bounds their temporaries at any length.
 LOSS_BLOCK = 256
 
 
@@ -656,7 +702,9 @@ def loss_and_gradients(params, enc: Encoding, steps):
 
 
 class SpanScorer:
-    """Inference-time scorer bound to one parameter set; feed to parse_greedy."""
+    """Inference-time scorer bound to one parameter set; feed to parse_greedy.
+    It scores structure one step at a time and labels in stacks of sites,
+    as `parse_greedy` asks for them."""
 
     def __init__(self, params, vocab):
         self.params = params
@@ -672,10 +720,17 @@ class SpanScorer:
         self.enc.boundary = None
 
     def structural(self, below, left, right):
-        return structural_raw_scores(self.params, self.enc, below, left, right)
+        """The raw (shift, combine) scores of one step as two floats, those
+        of `structural_raw_scores` bit for bit."""
+        return _structural_scores(self.params, self.enc, below, left, right, None, None)
 
     def labels(self, left, mid, right):
-        return label_raw_scores(self.params, self.enc, left, mid, right)
+        """Raw label scores of a stack of sites, one row per site k: the
+        span (left[k], right[k]) split at mid[k].  A row may differ from
+        `label_raw_scores` in the last bits, as a stacked product sums in
+        its own order."""
+        sites = np.array([left, mid, right], dtype=int).reshape(3, -1)
+        return _stacked_head(self.params, self.enc, "label", sites)[-1]
 
     def inventory(self):
         return self.vocab.inventory()

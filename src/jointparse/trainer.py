@@ -282,8 +282,8 @@ def train(
                 ) from err
             total_loss += loss
             adam.update(params, grads)
-        # Free the last document's arrays before dev decoding.
-        example = grads = None
+            # Free the document's arrays before the next rollout and dev decoding.
+            example = grads = None
 
         metrics = dev_metrics(params, vocab, dev_docs, config.mode)
         entry = {

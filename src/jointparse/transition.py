@@ -45,6 +45,14 @@ chooser callback for each decision and takes the chosen action unchecked:
 positions, with -1 for the sentinel.  A chooser may raise to abort the
 derivation.
 
+A label chooser may also defer its decision.  A labeling action leaves
+the boundaries as they were, so the rest of the derivation does not
+depend on which slot it takes.  A chooser that returns 0 (no-label),
+whatever the mask, therefore lets the derivation run on as it would
+under any choice, and no span enters the result; it keeps the site and
+its mask and labels the span once the derivation has ended.  Greedy
+decoding defers every label so that it can score the sites together.
+
 The dynamic oracle (Cross & Huang 2016) needs no lookahead.  In a
 structural state with top span (i, j) and stack boundaries b, combine loses
 exactly the gold spans (i, r) with r > j, since it drops boundary i, and
@@ -58,11 +66,13 @@ and the oracle compares two counts read off a per-document `GoldIndex`.
 `reachable_count` stays as the definition this rule is checked against.
 """
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
+from .model import LOSS_BLOCK
 from .trees import (
     EDU_PLACEHOLDER,
     Internal,
@@ -409,7 +419,11 @@ def derive(n, chains, choose_structural, choose_label, edu_spans=None) -> set:
 
     `chains` is the label inventory, no-label first.  Every step but an
     EDU's placeholder label goes to a chooser (see the module docstring),
-    whose returned slot is applied.
+    whose returned slot is applied unchecked.  A label chooser defers a
+    label by returning 0: no-label adds no span, even where the mask
+    closes it, and the boundaries after a label do not depend on its slot.
+    The returned set then lacks the deferred spans, and the caller adds
+    them.
     """
     if chains[0] is not None:
         raise TransitionError("label inventory must start with the no-label slot")
@@ -479,9 +493,16 @@ def parse_greedy(scorer, words, edu_spans=None) -> JointTree:
     """Decode a document by always taking the highest-scoring legal action.
 
     `scorer` must provide ``prepare(words)``, ``structural(below, i, j)``
-    returning raw (shift, combine) scores, ``labels(i, k, j)`` returning raw
-    scores over the label inventory (no-label first), and ``inventory()``
+    returning the raw (shift, combine) scores as two floats,
+    ``labels(i, k, j)`` returning raw scores over the label inventory (no-label
+    first) for arrays of sites, one row per site, and ``inventory()``
     returning that inventory as a list whose first element is None.
+
+    A label never moves the stack, so labels do not steer the derivation:
+    the structural loop defers every label (see `derive`) and records its
+    site with the mask `legal_mask` gave it, and a pass after the loop
+    scores the sites in stacks of `LOSS_BLOCK` and takes each row's best
+    legal slot.
 
     With `edu_spans`, decoding is constrained to gold segmentation: shifting
     advances one whole EDU (its internal labeling is fixed to a placeholder),
@@ -489,27 +510,49 @@ def parse_greedy(scorer, words, edu_spans=None) -> JointTree:
     """
     scorer.prepare(words)
     chains = scorer.inventory()
+    sites, masks = [], []
 
     def structural(state, below, left, right, legal):
-        return _best(scorer.structural(below, left, right), legal)
+        return _best_structural(*scorer.structural(below, left, right), legal)
 
     def label(state, left, mid, right, legal):
-        raw = scorer.labels(left, mid, right)
-        if len(raw) != len(chains):
-            raise TransitionError(
-                f"scorer emits {len(raw)} label scores for an inventory "
-                f"of {len(chains)}"
-            )
-        return _best(raw, legal)
+        sites.append((left, mid, right))
+        masks.append(legal)
+        return 0  # deferred: no-label adds no span (see `derive`)
 
     spans = derive(len(words), chains, structural, label, edu_spans)
+    for start in range(0, len(sites), LOSS_BLOCK):
+        block = sites[start : start + LOSS_BLOCK]
+        picks = _best_labels(scorer, block, masks[start : start + LOSS_BLOCK])
+        for (left, _, right), pick in zip(block, picks):
+            if pick:
+                spans.add(LabeledSpan(left, right, chains[pick]))
     return reconstruct(spans, list(words))
 
 
-def _best(raw, legal) -> int:
-    """The slot of the highest legal score, which must be finite."""
-    masked = np.where(legal, raw, -np.inf)
-    pick = int(np.argmax(masked))
-    if not np.isfinite(masked[pick]):
+def _best_labels(scorer, sites, masks) -> list:
+    """The slot of each site's highest legal label score, which must be
+    finite, from one stacked call of the scorer."""
+    raw = scorer.labels(*zip(*sites))
+    if raw.shape != (len(sites), len(masks[0])):
+        raise TransitionError(
+            f"scorer emits {raw.shape[-1]} label scores for an inventory "
+            f"of {len(masks[0])}"
+        )
+    masked = np.where(masks, raw, -np.inf)
+    picks = np.argmax(masked, axis=1)
+    if not np.isfinite(masked[np.arange(len(sites)), picks]).all():
         raise TransitionError("no legal action has finite score")
-    return pick
+    return picks.tolist()
+
+
+def _best_structural(shift, combine, legal) -> int:
+    """0 (shift) or 1 (combine), whichever legal action scores higher, shift
+    on a tie, as an argmax over the masked pair takes it.  A legal NaN
+    score or a non-finite best raises."""
+    can_shift, can_combine = legal
+    pick = can_combine and not (can_shift and shift >= combine)
+    best = combine if pick else shift
+    if not math.isfinite(best) or (can_shift and shift != shift):
+        raise TransitionError("no legal action has finite score")
+    return int(pick)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import deep_tree
 
-from jointparse import model
+from jointparse import model, transition
 from jointparse.model import (
     LOSS_BLOCK,
     DropoutMasks,
@@ -32,7 +32,10 @@ from jointparse.model import (
     structural_raw_scores,
     zero_gradients,
 )
+from jointparse.serialize import write_joint
 from jointparse.synthetic import generate_treebank
+from jointparse.transition import derive, parse_greedy, reconstruct
+from jointparse.trees import extract_edus
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +351,7 @@ class TestEncode:
                 got = label_raw_scores(params, enc, left, mid, right, label_hmask)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
                 if masks is None:
-                    got = scorer.labels(left, mid, right)
+                    got = scorer.labels([left], [mid], [right])[0]
                     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
@@ -725,9 +728,9 @@ def test_span_scorer_interface(setup):
     scorer = SpanScorer(params, vocab)
     scorer.prepare(["w1", "w2", "w3"])
     pair = scorer.structural(-1, 0, 1)
-    assert pair.shape == (2,)
-    labels = scorer.labels(0, 1, 2)
-    assert labels.shape == (vocab.label_dim,)
+    assert len(pair) == 2 and all(type(score) is float for score in pair)
+    labels = scorer.labels([0, 1], [1, 1], [2, 2])  # one row per site
+    assert labels.shape == (2, vocab.label_dim)
     assert scorer.inventory()[0] is None
 
 
@@ -763,6 +766,100 @@ def test_prepare_keeps_memory_per_token_within_states_and_cells():
     finally:
         tracemalloc.stop()
     assert peak <= per_token * len(words), (peak, per_token * len(words))
+
+
+def _per_site_decode(params, vocab, words, edus=None):
+    """Greedy decoding one decision at a time: every step scored alone by
+    `structural_raw_scores` or `label_raw_scores`, and its best legal slot
+    taken by an argmax over the masked scores (two-way for structure)."""
+    enc = encode(params, [vocab.token_id(w) for w in words])
+
+    def best(raw, legal):
+        return int(np.argmax(np.where(legal, raw, -np.inf)))
+
+    def structural(state, below, left, right, legal):
+        return best(structural_raw_scores(params, enc, below, left, right), legal)
+
+    def label(state, left, mid, right, legal):
+        return best(label_raw_scores(params, enc, left, mid, right), legal)
+
+    spans = derive(len(words), vocab.inventory(), structural, label, edus)
+    return reconstruct(spans, list(words))
+
+
+class TestGreedyDecoding:
+    @pytest.fixture(scope="class")
+    def model_and_docs(self):
+        docs = generate_treebank("decoding-tests", 24, max_tokens=40, max_edus=6)
+        vocab = Vocabulary.from_treebank(docs)
+        config = ModelConfig(word_dim=8, hidden_dim=8, scorer_hidden=12)
+        rng = np.random.default_rng(20)
+        # Every parameter random, biases included.
+        params = {
+            key: array + rng.normal(scale=0.1, size=array.shape)
+            for key, array in init_parameters(vocab, config, rng).items()
+        }
+        return params, vocab, docs
+
+    @pytest.mark.parametrize("block", [7, LOSS_BLOCK])
+    @pytest.mark.parametrize("gold_edus", [False, True])
+    def test_stacked_labels_decode_as_per_site_decisions(
+        self, model_and_docs, monkeypatch, block, gold_edus
+    ):
+        params, vocab, docs = model_and_docs
+        monkeypatch.setattr(transition, "LOSS_BLOCK", block)
+        scorer = SpanScorer(params, vocab)
+        for doc in docs:
+            words = [t.text for t in doc.tokens]
+            edus = extract_edus(doc) if gold_edus else None
+            got = write_joint(parse_greedy(scorer, words, edus))
+            assert got == write_joint(_per_site_decode(params, vocab, words, edus))
+
+    @pytest.mark.parametrize("gold_edus", [False, True])
+    def test_structural_floats_equal_raw_scores_at_every_step(
+        self, model_and_docs, gold_edus
+    ):
+        params, vocab, docs = model_and_docs
+        scorer = SpanScorer(params, vocab)
+        steps = 0
+        for doc in docs:
+            words = [t.text for t in doc.tokens]
+            scorer.prepare(words)
+
+            def structural(state, below, left, right, legal):
+                nonlocal steps
+                got = scorer.structural(below, left, right)
+                assert all(type(score) is float for score in got)
+                want = structural_raw_scores(params, scorer.enc, below, left, right)
+                assert np.array_equal(got, want)
+                steps += 1
+                return int(np.argmax(np.where(legal, want, -np.inf)))
+
+            def label(state, left, mid, right, legal):
+                return int(np.argmax(legal))
+
+            edus = extract_edus(doc) if gold_edus else None
+            derive(len(words), vocab.inventory(), structural, label, edus)
+        assert steps >= 2 * len(docs)
+
+
+def test_decoding_memory_after_prepare_is_bounded_by_label_blocks():
+    # 380 tokens at the default dims with a 231-slot inventory: the label
+    # pass holds the scores of one block of LOSS_BLOCK sites at a time (the
+    # peak reads about 1.7 MiB); stacking all 759 sites at once reads 4.1.
+    words = [f"w{k}" for k in range(380)]
+    vocab = Vocabulary(["<unk>", *words], {}, [f"C{k}" for k in range(230)])
+    params = init_parameters(vocab, ModelConfig(), np.random.default_rng(3))
+    scorer = SpanScorer(params, vocab)
+    scorer.prepare(words)
+    scorer.prepare = lambda words: None  # keep the encoding made above
+    tracemalloc.start()
+    try:
+        parse_greedy(scorer, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, peak
 
 
 def test_zero_gradients_match_shapes(setup):

@@ -416,6 +416,30 @@ class TestTrain:
         tokens = sum(len(doc.tokens) for doc in corpus)
         assert sum(encoded) == config.epochs * tokens
 
+    def test_no_document_outlives_its_update(self, corpus, monkeypatch):
+        # Each rollout starts with the traced memory the first one started
+        # with: the previous document's example and gradients (one parameter
+        # set, which Adam used as its step buffers) are gone by then.
+        config = ModelConfig(word_dim=8, hidden_dim=48, scorer_hidden=48)
+        entries = []
+        original = trainer.rollout
+
+        def tracked(*args):
+            entries.append(tracemalloc.get_traced_memory()[0])
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "rollout", tracked)
+        tracemalloc.start()
+        try:
+            result = train(corpus, oracle_free_config(epochs=1, dropout=0.5), config)
+        finally:
+            tracemalloc.stop()
+        parameter_bytes = sum(array.nbytes for array in result.params.values())
+        assert len(entries) == len(corpus)
+        assert max(entries) - entries[0] < parameter_bytes / 4, (
+            entries, parameter_bytes
+        )
+
     def test_empty_treebank_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train([], oracle_free_config(), SMALL_MODEL)

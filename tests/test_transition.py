@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -30,6 +31,7 @@ from jointparse.transition import (
     replay,
     static_oracle,
     unit_gold_map,
+    _best_structural,
 )
 from jointparse.trees import (
     EDU_PLACEHOLDER,
@@ -325,13 +327,14 @@ class TestReconstruct:
 
 
 class CountingScorer:
-    """Deterministic pseudo-random scores; counts scorer invocations."""
+    """Deterministic pseudo-random scores; counts structural calls and the
+    label sites scored."""
 
     def __init__(self, chains, seed=0):
         self.chains = list(chains)
         self.seed = seed
         self.structural_calls = 0
-        self.label_calls = 0
+        self.label_sites = 0
 
     def prepare(self, words):
         self.n = len(words)
@@ -346,9 +349,13 @@ class CountingScorer:
         )
 
     def labels(self, left, mid, right):
-        self.label_calls += 1
-        rng = np.random.default_rng(hash(("l", left, mid, right)) % 2**32)
-        return rng.normal(size=len(self.chains) + 1)
+        self.label_sites += len(left)
+        return np.array([
+            np.random.default_rng(hash(("l", *site)) % 2**32).normal(
+                size=len(self.chains) + 1
+            )
+            for site in zip(left, mid, right)
+        ])
 
     def inventory(self):
         return [None] + self.chains
@@ -361,7 +368,7 @@ class TestParseGreedy:
             tree = parse_greedy(scorer, [f"w{i}" for i in range(n)])
             assert len(tree.tokens) == n
             assert scorer.structural_calls == 2 * n - 1
-            assert scorer.label_calls == 2 * n - 1
+            assert scorer.label_sites == 2 * n - 1
             spans = labeled_spans(tree)
             assert any((s.start, s.end) == (0, n) for s in spans)
 
@@ -372,7 +379,7 @@ class TestParseGreedy:
         tree = parse_greedy(scorer, words, edu_spans=edus)
         m = len(edus)
         assert scorer.structural_calls == 2 * m - 1
-        assert scorer.label_calls == m - 1  # label decisions follow combines only
+        assert scorer.label_sites == m - 1  # label decisions follow combines only
         assert [(s.start, s.end) for s in extract_edus(tree)] == [
             (0, 3), (3, 4), (4, 8),
         ]
@@ -394,7 +401,7 @@ class TestParseGreedy:
     def test_scorer_inventory_mismatch_rejected(self):
         class ShortScorer(CountingScorer):
             def labels(self, left, mid, right):
-                return np.zeros(2)  # too few scores for the inventory
+                return np.zeros((len(left), 2))  # too few scores for the inventory
 
         scorer = ShortScorer(["S", "NP", "VP"])
         with pytest.raises(TransitionError, match="label scores"):
@@ -413,6 +420,21 @@ class TestParseGreedy:
 
         with pytest.raises(TransitionError, match="finite"):
             parse_greedy(NanScorer(["S", "NP"]), ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("legal", [(True, False), (False, True), (True, True)])
+def test_structural_pick_matches_masked_argmax(legal):
+    # The float comparison picks what an argmax over the masked pair picks,
+    # shift on a tie, and raises where that pick is not finite (NaN first).
+    values = [-np.inf, -1.0, 0.0, 2.5, np.inf, np.nan]
+    for shift, combine in itertools.product(values, repeat=2):
+        masked = np.where(legal, [shift, combine], -np.inf)
+        want = int(np.argmax(masked))
+        if np.isfinite(masked[want]):
+            assert _best_structural(shift, combine, legal) == want
+        else:
+            with pytest.raises(TransitionError, match="finite"):
+                _best_structural(shift, combine, legal)
 
 
 class RecordingChoosers:
