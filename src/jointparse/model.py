@@ -104,6 +104,15 @@ class Vocabulary:
     """Token and label-chain inventories built from a training treebank."""
 
     def __init__(self, words, counts, chains):
+        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+            raise ModelError("word list must be a list of strings")
+        if not (isinstance(chains, list)
+                and all(isinstance(c, str) and c for c in chains)):
+            raise ModelError("label chains must be a list of non-empty strings")
+        if not (isinstance(counts, dict) and all(
+            isinstance(w, str) and type(k) is int for w, k in counts.items()
+        )):
+            raise ModelError("word counts must map strings to integers")
         if not words or words[0] != UNK:
             raise ModelError("word list must start with the unknown-word slot")
         self.words = list(words)
@@ -115,8 +124,6 @@ class Vocabulary:
             raise ModelError("word list holds duplicate words")
         if len(self._chain_ids) != len(self.chains):
             raise ModelError("label chain list holds duplicate chains")
-        if not all(isinstance(c, str) and c for c in self.chains):
-            raise ModelError("label chains must be non-empty strings")
 
     @classmethod
     def from_treebank(cls, trees):
@@ -583,8 +590,10 @@ class LabelStep:
     hmask: np.ndarray | None = None
 
 
-def _structural_scores(params, enc, below, left, right, hmask_shift, hmask_combine):
-    """`structural_raw_scores` as two Python floats.  Each head sums its
+def structural_raw_scores(params, enc, below, left, right,
+                          hmask_shift=None, hmask_combine=None):
+    """Unmasked (shift, combine) scores of the top span (left, right) over
+    the span starting at `below`, as two Python floats.  Each head sums its
     projected rows onto b1 in place, in the order of the boundaries it
     reads, then applies ReLU, its hidden mask and its output dot."""
     (s0, s1), (c0, c1, c2) = enc.heads["shift"], enc.heads["combine"]
@@ -607,15 +616,6 @@ def _structural_scores(params, enc, below, left, right, hmask_shift, hmask_combi
         float(params["shift.w2"] @ shift + params["shift.b2"][0]),
         float(params["combine.w2"] @ combine + params["combine.b2"][0]),
     )
-
-
-def structural_raw_scores(params, enc, below, left, right,
-                          hmask_shift=None, hmask_combine=None):
-    """Unmasked (shift, combine) scores of the top span (left, right) over
-    the span starting at `below`."""
-    return np.array(_structural_scores(
-        params, enc, below, left, right, hmask_shift, hmask_combine
-    ))
 
 
 def label_raw_scores(params, enc, left, mid, right, hmask=None):
@@ -720,9 +720,8 @@ class SpanScorer:
         self.enc.boundary = None
 
     def structural(self, below, left, right):
-        """The raw (shift, combine) scores of one step as two floats, those
-        of `structural_raw_scores` bit for bit."""
-        return _structural_scores(self.params, self.enc, below, left, right, None, None)
+        """The raw (shift, combine) scores of one step as two floats."""
+        return structural_raw_scores(self.params, self.enc, below, left, right)
 
     def labels(self, left, mid, right):
         """Raw label scores of a stack of sites, one row per site k: the

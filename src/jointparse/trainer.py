@@ -3,14 +3,17 @@
 Each document is rolled out step by step on the transition driver
 (`transition.derive`), over tokens or, in gold-EDU mode, over the gold
 EDUs, exactly as greedy decoding runs.  `rollout` supplies the two
-choosers.  At every structural step the oracle supplies the set of
-loss-free actions, the model's best oracle action becomes the target, and
-the chooser returns it with probability beta or the model's own argmax
-over the legal actions otherwise, so the scorer also sees states its
-mistakes would lead to.  A label action never moves the stack, so a label
-step returns its gold target unscored.  Each step draws its hidden
-dropout masks (shift then combine, or the label mask), then the beta
-draw, which a label step ignores: it is kept only to fix the random
+choosers.  At every structural step the model picks with
+`transition.best_structural`, greedy decoding's rule: the legal action
+with the higher score, shift on a tie, and a non-finite pick raises,
+which `train` reports as `TrainingDiverged`.  The oracle supplies the set
+of loss-free actions; the target is the model's pick where that set holds
+both actions, else its one action.  The chooser returns the target with
+probability beta or the model's pick otherwise, so the scorer also sees
+states its mistakes would lead to.  A label action never moves the stack,
+so a label step returns its gold target unscored.  Each step draws its
+hidden dropout masks (shift then combine, or the label mask), then the
+beta draw, which a label step ignores: it is kept only to fix the random
 stream.  The rollout's encoding, with its LSTM caches and dropout masks,
 goes with the steps to the loss, so each training document is encoded
 once per epoch.  Updates are per document; the best-dev checkpoint is
@@ -44,6 +47,7 @@ from .model import (
 )
 from .transition import (
     STRUCTURAL_ACTIONS,
+    best_structural,
     derive,
     dynamic_oracle,
     gold_index,
@@ -125,15 +129,13 @@ def rollout(gold, params, vocab, model_config, config, rng):
     def structural(state, below, left, right, legal):
         hmasks = hidden_mask(), hidden_mask()
         scores = structural_raw_scores(params, enc, below, left, right, *hmasks)
-        scores = np.where(legal, scores, -np.inf)
+        best = best_structural(*scores, legal)
         oracle = dynamic_oracle(state, index)
-        target = max(
-            sorted(STRUCTURAL_ACTIONS.index(a) for a in oracle),
-            key=lambda k: scores[k],
-        )
+        # The model's pick where both actions are loss-free, else the oracle's one.
+        target = best if len(oracle) == 2 else STRUCTURAL_ACTIONS.index(*oracle)
         steps.append(StructuralStep(below, left, right, legal, target, *hmasks))
         # The oracle's target with probability beta, else the model's choice.
-        return target if rng.random() < config.beta else int(np.argmax(scores))
+        return target if rng.random() < config.beta else best
 
     def label(state, left, mid, right, legal):
         hmask = hidden_mask()
@@ -153,16 +155,18 @@ def rollout(gold, params, vocab, model_config, config, rng):
 # optimizer
 
 
+# Adam's moment decay rates and denominator offset.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adaptive-moment gradient descent with global norm clipping.  `update`
     consumes the passed gradients: clipping scales them in place, and each
     then serves as its parameter's step buffer."""
 
-    def __init__(self, params, learning_rate=1e-3, clip_norm=5.0,
-                 beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def __init__(self, params, learning_rate=1e-3, clip_norm=5.0):
         self.learning_rate = learning_rate
         self.clip_norm = clip_norm
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -175,23 +179,23 @@ class Adam:
                 scale = self.clip_norm / total
                 for grad in grads.values():
                     grad *= scale
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        correction1 = 1.0 - BETA1 ** self.t
+        correction2 = 1.0 - BETA2 ** self.t
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
         # params -= lr * (m/c1) / (sqrt(v/c2) + eps), computed in place with
         # the same operations, so the result is that formula's bit for bit.
         for key, grad in grads.items():
             m, v = self.m[key], self.v[key]
             denom = np.square(grad)
-            denom *= 1.0 - self.beta2
-            v *= self.beta2
+            denom *= 1.0 - BETA2
+            v *= BETA2
             v += denom
-            m *= self.beta1
-            grad *= 1.0 - self.beta1
+            m *= BETA1
+            grad *= 1.0 - BETA1
             m += grad
             np.divide(v, correction2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.epsilon
+            denom += EPSILON
             np.divide(m, correction1, out=grad)
             grad /= denom
             grad *= self.learning_rate
@@ -271,10 +275,10 @@ def train(
         total_loss = 0.0
         for doc_index in rng.permutation(len(train_docs)):
             gold = train_docs[doc_index]
-            example = rollout(gold, params, vocab, model_config, config, rng)
-            if not example.steps:
-                continue  # single-EDU document in gold-EDU mode: fully forced
             try:
+                example = rollout(gold, params, vocab, model_config, config, rng)
+                if not example.steps:
+                    continue  # single-EDU document in gold-EDU mode: fully forced
                 loss, grads = loss_and_gradients(params, example.enc, example.steps)
             except ValueError as err:
                 raise TrainingDiverged(

@@ -45,6 +45,11 @@ chooser callback for each decision and takes the chosen action unchecked:
 positions, with -1 for the sentinel.  A chooser may raise to abort the
 derivation.
 
+`best_structural` is the one rule that picks shift or combine from the
+two raw scores, for greedy decoding and for the trainer's rollouts alike:
+the legal action with the higher score, shift on a tie, and a legal NaN
+score or a non-finite pick raises.
+
 A label chooser may also defer its decision.  A labeling action leaves
 the boundaries as they were, so the rest of the derivation does not
 depend on which slot it takes.  A chooser that returns 0 (no-label),
@@ -513,7 +518,7 @@ def parse_greedy(scorer, words, edu_spans=None) -> JointTree:
     sites, masks = [], []
 
     def structural(state, below, left, right, legal):
-        return _best_structural(*scorer.structural(below, left, right), legal)
+        return best_structural(*scorer.structural(below, left, right), legal)
 
     def label(state, left, mid, right, legal):
         sites.append((left, mid, right))
@@ -546,7 +551,7 @@ def _best_labels(scorer, sites, masks) -> list:
     return picks.tolist()
 
 
-def _best_structural(shift, combine, legal) -> int:
+def best_structural(shift, combine, legal) -> int:
     """0 (shift) or 1 (combine), whichever legal action scores higher, shift
     on a tie, as an argmax over the masked pair takes it.  A legal NaN
     score or a non-finite best raises."""

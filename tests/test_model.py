@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import deep_tree
 
-from jointparse import model, transition
+from jointparse import cli, model, transition
 from jointparse.model import (
     LOSS_BLOCK,
     DropoutMasks,
@@ -337,9 +337,11 @@ class TestEncode:
                 got = structural_raw_scores(
                     params, enc, below, left, right, hmask_shift, hmask_combine
                 )
+                assert all(type(score) is float for score in got)
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
                 if masks is None:
                     got = scorer.structural(below, left, right)
+                    assert all(type(score) is float for score in got)
                     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
             # (i, i, i+1) is a width-1 span: its midpoint is its left boundary.
             for left, mid, right in [(0, 0, 1), (6, 6, 7), (0, 3, 7), (2, 4, 5)]:
@@ -673,6 +675,28 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("words", 5, "word list must be a list of strings"),
+            ("chains", [["a"]], "label chains must be a list of non-empty strings"),
+            ("counts", [1, 2], "word counts must map strings to integers"),
+        ],
+    )
+    def test_mistyped_vocabulary_rejected(self, setup, tmp_path, capsys, field,
+                                          value, message):
+        # A validation error, so `jointparse parse` exits 1, not 2.
+        _, vocab, config, params = setup
+        data = dict(vocab.to_dict(), **{field: value})
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, SimpleNamespace(to_dict=lambda: data), config)
+        with pytest.raises(ModelError, match=message):
+            load_checkpoint(path)
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("a b\n")
+        assert cli.main(["parse", "--model", str(path), "--input", str(tokens)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "corrupt, message",
         [
             (lambda m: m["config"].update(bogus=1), "config must hold exactly"),
@@ -814,33 +838,6 @@ class TestGreedyDecoding:
             edus = extract_edus(doc) if gold_edus else None
             got = write_joint(parse_greedy(scorer, words, edus))
             assert got == write_joint(_per_site_decode(params, vocab, words, edus))
-
-    @pytest.mark.parametrize("gold_edus", [False, True])
-    def test_structural_floats_equal_raw_scores_at_every_step(
-        self, model_and_docs, gold_edus
-    ):
-        params, vocab, docs = model_and_docs
-        scorer = SpanScorer(params, vocab)
-        steps = 0
-        for doc in docs:
-            words = [t.text for t in doc.tokens]
-            scorer.prepare(words)
-
-            def structural(state, below, left, right, legal):
-                nonlocal steps
-                got = scorer.structural(below, left, right)
-                assert all(type(score) is float for score in got)
-                want = structural_raw_scores(params, scorer.enc, below, left, right)
-                assert np.array_equal(got, want)
-                steps += 1
-                return int(np.argmax(np.where(legal, want, -np.inf)))
-
-            def label(state, left, mid, right, legal):
-                return int(np.argmax(legal))
-
-            edus = extract_edus(doc) if gold_edus else None
-            derive(len(words), vocab.inventory(), structural, label, edus)
-        assert steps >= 2 * len(docs)
 
 
 def test_decoding_memory_after_prepare_is_bounded_by_label_blocks():

@@ -170,6 +170,30 @@ class TestRollout:
                     if state.midpoint is not None:
                         assert action.chain == gold_map.get(state.top)
 
+    def test_tied_scores_target_and_pick_shift(self, corpus, fresh, monkeypatch):
+        # Every structural step scores shift and combine alike.  Where the
+        # oracle allows both, the target is the model's pick, and on a tie
+        # that pick is shift (`best_structural`); at beta 0 every draw
+        # misses, so the rollout takes it too.
+        vocab, params = fresh
+        tied = dict(params)
+        for head in ("shift", "combine"):
+            tied[f"{head}.w2"] = np.zeros_like(params[f"{head}.w2"])
+            tied[f"{head}.b2"] = np.full_like(params[f"{head}.b2"], 0.25)
+        config = oracle_free_config(beta=0.0)
+        both = 0
+        for gold in corpus:
+            example, calls, _ = recorded_rollout(
+                monkeypatch, gold, tied, vocab, config, 0
+            )
+            gold_map = unit_gold_map(gold, None)
+            for step, (state, _, action) in zip(example.steps, calls):
+                if state.midpoint is None and len(dynamic_oracle(state, gold_map)) == 2:
+                    assert step.target == 0
+                    assert action == STRUCTURAL_ACTIONS[0]
+                    both += 1
+        assert both
+
     @pytest.mark.parametrize("mode", ["end2end", "goldedu"])
     def test_label_steps_are_not_scored(self, corpus, fresh, monkeypatch, mode):
         def refuse(*args):
@@ -299,7 +323,7 @@ class TestAdam:
         expected = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros(shape) for k, shape in shapes.items()}
         v = {k: np.zeros(shape) for k, shape in shapes.items()}
-        adam = Adam(params, lr, clip_norm, beta1, beta2, eps)
+        adam = Adam(params, lr, clip_norm)
         for t in range(1, 21):
             grads = {k: rng.normal(size=shape) * 3.0 for k, shape in shapes.items()}
             reference = {k: g.copy() for k, g in grads.items()}
@@ -321,6 +345,21 @@ class TestAdam:
 
 
 class TestTrain:
+    def test_nan_structural_score_diverges_at_the_step(self, corpus, monkeypatch):
+        # The rollout's chooser raises on a non-finite pick, as greedy
+        # decoding does, before the loss would see the step.
+        def nan_shift_bias(*args):
+            params = init_parameters(*args)
+            params["shift.b2"][0] = np.nan
+            return params
+
+        monkeypatch.setattr(trainer, "init_parameters", nan_shift_bias)
+        with pytest.raises(
+            TrainingDiverged,
+            match=r"epoch 1, document \d+: no legal action has finite score",
+        ):
+            train(corpus, oracle_free_config(), SMALL_MODEL)
+
     def test_seeded_runs_are_identical(self, corpus):
         def stable(history):
             return [

@@ -15,6 +15,7 @@ from jointparse.transition import (
     ParserState,
     TransitionError,
     apply_action,
+    best_structural,
     axiom,
     derive,
     dynamic_oracle,
@@ -31,7 +32,6 @@ from jointparse.transition import (
     replay,
     static_oracle,
     unit_gold_map,
-    _best_structural,
 )
 from jointparse.trees import (
     EDU_PLACEHOLDER,
@@ -431,10 +431,10 @@ def test_structural_pick_matches_masked_argmax(legal):
         masked = np.where(legal, [shift, combine], -np.inf)
         want = int(np.argmax(masked))
         if np.isfinite(masked[want]):
-            assert _best_structural(shift, combine, legal) == want
+            assert best_structural(shift, combine, legal) == want
         else:
             with pytest.raises(TransitionError, match="finite"):
-                _best_structural(shift, combine, legal)
+                best_structural(shift, combine, legal)
 
 
 class RecordingChoosers:
