@@ -13,7 +13,7 @@ from jointparse import generate_treebank
 from jointparse.evaluate import corpus_report
 from jointparse.model import ModelConfig, SpanScorer
 from jointparse.trainer import TrainConfig, train
-from jointparse.transition import parse_greedy
+from jointparse.transition import parse_documents
 from jointparse.serialize import write_joint
 
 
@@ -36,7 +36,7 @@ def main():
 
     scorer = SpanScorer(result.params, result.vocab)
     docs = treebank[:3]
-    preds = [parse_greedy(scorer, [t.text for t in d.tokens]) for d in docs]
+    preds = parse_documents(scorer, [[t.text for t in d.tokens] for d in docs])
     for gold, pred in zip(docs, preds):
         print("gold:", write_joint(gold))
         print("pred:", write_joint(pred))

@@ -46,6 +46,7 @@ from .transition import (
     axiom,
     dynamic_oracle,
     legal_actions,
+    parse_documents,
     parse_greedy,
     reachable_count,
     reconstruct,

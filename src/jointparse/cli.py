@@ -16,7 +16,7 @@ import sys
 
 from . import convert, evaluate, serialize, synthetic, trainer, verify
 from .model import ModelConfig, SpanScorer, load_checkpoint
-from .transition import parse_greedy
+from .transition import parse_documents
 from .trees import InvariantError, validate_tree
 
 EXIT_OK = 0
@@ -211,7 +211,7 @@ def _parse_worker_init(checkpoint):
 
 def _parse_worker(task):
     index, words, edus = task
-    tree = parse_greedy(_WORKER["scorer"], words, edu_spans=edus)
+    [tree] = parse_documents(_WORKER["scorer"], [words], [edus])
     return index, serialize.write_joint(tree)
 
 
@@ -244,7 +244,8 @@ def cmd_parse(args) -> int:
     else:
         try:
             _parse_worker_init(args.model)
-            rendered = [text for _i, text in map(_parse_worker, tasks)]
+            trees = parse_documents(_WORKER["scorer"], documents, segmentations)
+            rendered = [serialize.write_joint(tree) for tree in trees]
         finally:
             _WORKER.clear()
     for text in rendered:

@@ -33,6 +33,17 @@ layer's gradients, and one scatter of the pre-activation gradients into
 the per-boundary rows; the loss itself is summed in step order.  Greedy
 decoding scores its label sites with the same stacked forward.
 
+Inference encodes a group of documents at once.  A recurrent step of one
+document streams the whole recurrent matrix (1.28 MB at H = 200) to make
+one vector, and a second column of states costs almost nothing more, so
+`_lstm_forward` runs the group's documents side by side, with one matrix
+product per step for all those still running.  The batch runs across
+documents, not across a layer's two directions: each direction has its own
+recurrent matrix, so fusing them would stream the same bytes.  With gold
+EDUs decoding reads only unit boundaries, so a group keeps features, and
+`SpanScorer` projects head rows, only there.  Training encodes one
+document at a time, through the same recurrence.
+
 The loss takes the `Encoding` its steps were chosen on, so a training
 document runs through the encoder once, and consumes it: the head rows and
 boundary features go before the encoder's backward, and each LSTM cache as
@@ -44,6 +55,7 @@ Everything is float64 numpy with hand-written backpropagation, so gradient
 correctness is checkable against central finite differences.
 """
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -239,7 +251,7 @@ def zero_gradients(params) -> dict:
 class _LstmCache:
     xs: np.ndarray          # (n, in_dim)
     states: np.ndarray      # (n+1, H); states[t] = hidden after t inputs
-    cells: np.ndarray       # (n+1, H)
+    cells: np.ndarray | None  # (n+1, H); None from a batched run
 
 
 def _halved(params, name, xs):
@@ -265,27 +277,89 @@ def _activate(z):
     return z
 
 
-def _lstm_forward(params, name, xs) -> _LstmCache:
-    """Run LSTM `name` over `xs`, keeping only its hidden states and cells:
-    each step's gates and tanh(c) live in rows reused across steps."""
-    n = xs.shape[0]
-    inputs, Wh = _halved(params, name, xs)
+def _lstm_steps(Wh, inputs, states, cells, start=0):
+    """Steps start, start+1, ... of one sequence, one per row of `inputs`,
+    from states[start] and cells[start], one matrix-vector product each:
+    the gates and tanh(c) live in rows reused across steps."""
     H = Wh.shape[1]
-    states = np.zeros((n + 1, H))
-    cells = np.zeros((n + 1, H))
     z = np.empty(4 * H)
     i, f, o, g = (z[k * H : (k + 1) * H] for k in range(4))
     ig, tanh_cell = np.empty(H), np.empty(H)
-    for t in range(n):
+    for t, x in enumerate(inputs, start):
         np.dot(Wh, states[t], out=z)
-        z += inputs[t]
+        z += x
         _activate(z)
         np.multiply(f, cells[t], out=cells[t + 1])
         np.multiply(i, g, out=ig)
         cells[t + 1] += ig
         np.tanh(cells[t + 1], out=tanh_cell)
         np.multiply(o, tanh_cell, out=states[t + 1])
-    return _LstmCache(xs, states, cells)
+
+
+def _lstm_forward(params, name, sequences) -> list:
+    """Run LSTM `name` over each of `sequences`, a list of (n, in_dim)
+    arrays that each start at step 0, and return each one's `_LstmCache`.
+
+    One sequence runs the loop of `_lstm_steps`.  Several run in one
+    batched recurrence, longest first, so that the sequences still running
+    at a step are a prefix of that order.  While two or more run, a step is
+    one product of the recurrent weights with their contiguous (H, k) block
+    of states, and the gate math runs on (4H, k) blocks; when a sequence
+    ends, the blocks are cut to the ones left.  Inputs and states are packed
+    by step, each step's rows those of the sequences it runs.  Once one
+    sequence is left, its state and cell go on in `_lstm_steps`.  A batched
+    run keeps only hidden states: inference, which alone makes one, reads
+    nothing else."""
+    if len(sequences) == 1:
+        xs = sequences[0]
+        inputs, Wh = _halved(params, name, xs)
+        states = np.zeros((len(xs) + 1, Wh.shape[1]))
+        cells = np.zeros_like(states)
+        _lstm_steps(Wh, inputs, states, cells)
+        return [_LstmCache(xs, states, cells)]
+    lengths = [len(xs) for xs in sequences]
+    order = sorted(range(len(sequences)), key=lambda k: -lengths[k])
+    longest, steps = lengths[order[0]], lengths[order[1]]  # two or more run
+    running = [sum(lengths[k] > t for k in order) for t in range(steps)]
+    offsets = np.concatenate([[0], np.cumsum(running)])
+    packed = offsets[-1]
+    # Each sequence's rows at its batched steps; the longest one's later
+    # steps follow them all.
+    rows = [offsets[: min(lengths[k], steps)] + col for col, k in enumerate(order)]
+    xs = np.empty((packed + longest - steps, sequences[0].shape[1]))
+    for col, k in enumerate(order):
+        xs[rows[col]] = sequences[k][:steps]
+    xs[packed:] = sequences[order[0]][steps:]
+    inputs, Wh = _halved(params, name, xs)
+    del xs
+    H = Wh.shape[1]
+    out = np.empty((packed, H))
+    S = C = np.zeros((H, len(order)))
+    for start, end in itertools.pairwise(offsets.tolist()):
+        k = end - start
+        if start == 0 or k < S.shape[1]:  # a sequence ended: cut the blocks
+            S, C = S[:, :k].copy(), C[:, :k].copy()
+            z, ig, tanh_cell = np.empty((4 * H, k)), np.empty((H, k)), np.empty((H, k))
+            i, f, o, g = (z[q * H : (q + 1) * H] for q in range(4))
+        np.dot(Wh, S, out=z)
+        z += inputs[start:end].T
+        _activate(z.T)
+        C *= f
+        np.multiply(i, g, out=ig)
+        C += ig
+        np.tanh(C, out=tanh_cell)
+        np.multiply(o, tanh_cell, out=S)
+        out[start:end] = S.T
+    caches = [None] * len(sequences)
+    for col, k in enumerate(order):
+        states = np.zeros((lengths[k] + 1, H))
+        states[1 : len(rows[col]) + 1] = out[rows[col]]
+        caches[k] = _LstmCache(sequences[k], states, None)
+    if longest > steps:
+        cells = np.empty((longest + 1, H))
+        cells[steps] = C[:, 0]
+        _lstm_steps(Wh, inputs[packed:], caches[order[0]].states, cells, steps)
+    return caches
 
 
 def _lstm_backward(params, name, cache, d_states, grads):
@@ -394,34 +468,65 @@ class Encoding:
         return 1.0 if self.masks is None else 1.0 / self.masks.keep
 
 
-def encode(params, ids, masks: DropoutMasks | None = None) -> Encoding:
-    """Boundary features for one document (n >= 1 token ids)."""
-    ids = np.asarray(ids, dtype=int)
-    n = len(ids)
-    if n == 0:
-        raise ModelError("cannot encode an empty document")
-    E = params["embed"][ids]
-    c1f = _lstm_forward(params, "lstm1f", E)
-    c1b = _lstm_forward(params, "lstm1b", E[::-1])
-    out1 = np.concatenate([c1f.states[1:], c1b.states[1:][::-1]], axis=1)
-    if masks is not None:
-        _dropped(out1, masks.layer1, 1.0 / masks.keep)
-    c2f = _lstm_forward(params, "lstm2f", out1)
-    c2b = _lstm_forward(params, "lstm2b", out1[::-1])
-    F = np.concatenate(
-        [c1f.states, c1b.states[::-1], c2f.states, c2b.states[::-1]], axis=1
-    )
-    if masks is not None:
-        _dropped(F, masks.features, 1.0 / masks.keep)
-    caches = {"lstm1f": c1f, "lstm1b": c1b, "lstm2f": c2f, "lstm2b": c2b}
+def _features(states, rows=None):
+    """Boundary features from the four LSTMs' hidden states (forward and
+    backward, per layer), at the boundary positions `rows` or at all n+1:
+    a forward state at p, a backward one at its mirror n - p."""
+    f1, b1, f2, b2 = states
+    if rows is None or len(rows) == len(f1):
+        return np.concatenate([f1, b1[::-1], f2, b2[::-1]], axis=1)
+    rows = np.asarray(rows)
+    back = len(f1) - 1 - rows
+    return np.concatenate([f1[rows], b1[back], f2[rows], b2[back]], axis=1)
+
+
+def _project(params, F):
+    """Head -> the features through each column block of its first layer,
+    one (rows, scorer_hidden) array per block."""
     D = F.shape[1]
-    heads = {
-        head: [
-            F @ params[f"{head}.W1"][:, k * D : (k + 1) * D].T for k in range(blocks)
-        ]
+    return {
+        head: [F @ params[f"{head}.W1"][:, k * D : (k + 1) * D].T for k in range(blocks)]
         for head, blocks in HEAD_BLOCKS.items()
     }
-    return Encoding(ids=ids, boundary=F, heads=heads, caches=caches, masks=masks)
+
+
+def encode(params, ids, masks: DropoutMasks | None = None, lengths=None, rows=None):
+    """Boundary features for one document (n >= 1 token ids), projected
+    through every head block, with the LSTM caches the loss's backward reads.
+
+    Inference encodes a group of documents at once: `ids` holds their ids
+    end to end and `lengths` one length each, and every LSTM runs over the
+    group in one batched recurrence (`_lstm_forward`).  The result is then a
+    list of each document's boundary features, without dropout, at the
+    boundary positions `rows[k]` gives for document k (all n+1 where it is
+    None); `SpanScorer.select` projects them when decoding reaches it."""
+    ids = np.asarray(ids, dtype=int)
+    sizes = [len(ids)] if lengths is None else list(lengths)
+    if not sizes or min(sizes) < 1 or sum(sizes) != len(ids):
+        raise ModelError("cannot encode an empty document")
+    docs = np.split(params["embed"][ids], np.cumsum(sizes)[:-1])
+    c1f = _lstm_forward(params, "lstm1f", docs)
+    c1b = _lstm_forward(params, "lstm1b", [E[::-1] for E in docs])
+    out1 = [
+        np.concatenate([f.states[1:], b.states[1:][::-1]], axis=1)
+        for f, b in zip(c1f, c1b)
+    ]
+    if masks is not None:
+        _dropped(out1[0], masks.layer1, 1.0 / masks.keep)
+    c2f = _lstm_forward(params, "lstm2f", out1)
+    c2b = _lstm_forward(params, "lstm2b", [x[::-1] for x in out1])
+    layers = list(zip(c1f, c1b, c2f, c2b))
+    if lengths is not None:
+        rows = rows or [None] * len(sizes)
+        return [
+            _features([c.states for c in caches], r) for caches, r in zip(layers, rows)
+        ]
+    F = _features([c.states for c in layers[0]])
+    if masks is not None:
+        _dropped(F, masks.features, 1.0 / masks.keep)
+    caches = dict(zip(("lstm1f", "lstm1b", "lstm2f", "lstm2b"), layers[0]))
+    return Encoding(ids=ids, boundary=F, heads=_project(params, F), caches=caches,
+                    masks=masks)
 
 
 def _encoder_backward(params, enc: Encoding, dF) -> dict:
@@ -646,6 +751,9 @@ def _masked_nll(scores, legal, target):
 # Steps per stacked product in the loss, and label sites per stacked product
 # in greedy decoding: bounds their temporaries at any length.
 LOSS_BLOCK = 256
+# Tokens per group that `parse_documents` encodes in one batched recurrence:
+# bounds the group's features and the recurrence's temporaries.
+GROUP_TOKENS = 2048
 
 
 def loss_and_gradients(params, enc: Encoding, steps):
@@ -654,9 +762,9 @@ def loss_and_gradients(params, enc: Encoding, steps):
     steps were taken on, which it consumes.  Steps of one kind are scored
     together in blocks of LOSS_BLOCK, and the loss is summed in step order.
     Raises on an illegal target or a non-finite loss, naming the first bad
-    step, and on an encoding already consumed or stripped for scoring."""
+    step, and on an encoding already consumed or made for scoring only."""
     if enc.boundary is None:
-        raise ModelError("encoding already consumed or stripped for scoring; "
+        raise ModelError("encoding already consumed or made for scoring only; "
                          "encode the document again")
     # Encoder gradients arrive whole from _encoder_backward; zero arrays for
     # them would only raise the peak memory.
@@ -702,25 +810,55 @@ def loss_and_gradients(params, enc: Encoding, steps):
 
 
 class SpanScorer:
-    """Inference-time scorer bound to one parameter set; feed to parse_greedy.
-    It scores structure one step at a time and labels in stacks of sites,
-    as `parse_greedy` asks for them."""
+    """Inference-time scorer bound to one parameter set; feed to
+    `parse_documents` or `parse_greedy`.  `prepare` encodes a group of
+    documents in one batched recurrence, each at its unit boundaries only,
+    and `select` projects one document's features through the heads as its
+    decoding starts.  It scores structure one step at a time and labels in
+    stacks of sites, at token boundaries that it maps to the document's
+    rows."""
 
     def __init__(self, params, vocab):
         self.params = params
         self.vocab = vocab
+        self.group = []   # (ids, unit bounds, boundary features) per document
         self.enc = None
+        self.unit = None  # token boundary -> row, or None where rows are tokens
 
-    def prepare(self, words):
-        ids = [self.vocab.token_id(w) for w in words]
-        self.enc = None  # free the previous document before encoding this one
-        self.enc = encode(self.params, ids)
-        # Scoring reads only the projected head rows.
-        self.enc.caches.clear()
-        self.enc.boundary = None
+    def prepare(self, documents, bounds=None):
+        """Encode a group of documents (word lists), each at the unit
+        boundaries `bounds[k]` (token positions; every token boundary by
+        default).  The previous group is freed first."""
+        self.group = self.enc = None
+        ids = [[self.vocab.token_id(w) for w in words] for words in documents]
+        bounds = bounds or [range(len(words) + 1) for words in documents]
+        features = encode(
+            self.params, [i for doc in ids for i in doc],
+            lengths=[len(doc) for doc in ids], rows=bounds,
+        )
+        self.group = list(zip(ids, bounds, features))
+
+    def select(self, k):
+        """Score document k of the prepared group from here on: project its
+        features through every head block, freeing them and the previous
+        document's rows."""
+        self.enc = None
+        ids, bounds, features = self.group[k]
+        self.group[k] = None
+        self.unit = None
+        if len(bounds) < len(ids) + 1:
+            # One slot past the end maps the sentinel boundary -1 to -1.
+            unit = np.full(len(ids) + 2, -1)
+            unit[list(bounds)] = np.arange(len(bounds))
+            self.unit = unit.tolist()
+        self.enc = Encoding(ids=np.asarray(ids, dtype=int), boundary=None,
+                            heads=_project(self.params, features))
 
     def structural(self, below, left, right):
         """The raw (shift, combine) scores of one step as two floats."""
+        unit = self.unit
+        if unit is not None:
+            below, left, right = unit[below], unit[left], unit[right]
         return structural_raw_scores(self.params, self.enc, below, left, right)
 
     def labels(self, left, mid, right):
@@ -729,6 +867,8 @@ class SpanScorer:
         `label_raw_scores` in the last bits, as a stacked product sums in
         its own order."""
         sites = np.array([left, mid, right], dtype=int).reshape(3, -1)
+        if self.unit is not None:
+            sites = np.take(self.unit, sites)
         return _stacked_head(self.params, self.enc, "label", sites)[-1]
 
     def inventory(self):

@@ -51,7 +51,7 @@ from .transition import (
     derive,
     dynamic_oracle,
     gold_index,
-    parse_greedy,
+    parse_documents,
     unit_gold_map,
 )
 from .trees import extract_edus
@@ -218,12 +218,9 @@ class TrainResult:
 
 def dev_metrics(params, vocab, dev_docs, mode=END_TO_END) -> dict:
     """Greedy-parse a document list and report corpus micro F1 values."""
-    scorer = SpanScorer(params, vocab)
-    preds = []
-    for gold in dev_docs:
-        words = [t.text for t in gold.tokens]
-        edus = extract_edus(gold) if mode == GOLD_EDU else None
-        preds.append(parse_greedy(scorer, words, edu_spans=edus))
+    documents = [[t.text for t in gold.tokens] for gold in dev_docs]
+    edus = [extract_edus(gold) for gold in dev_docs] if mode == GOLD_EDU else None
+    preds = parse_documents(SpanScorer(params, vocab), documents, edus)
     report = evaluate.corpus_report(dev_docs, preds)["corpus"]
     return {
         "overall_f1": report["overall_f1"],

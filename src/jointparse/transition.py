@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LOSS_BLOCK
+from .model import GROUP_TOKENS, LOSS_BLOCK
 from .trees import (
     EDU_PLACEHOLDER,
     Internal,
@@ -494,14 +494,60 @@ def static_oracle(gold: JointTree) -> list:
     return actions
 
 
-def parse_greedy(scorer, words, edu_spans=None) -> JointTree:
+def parse_documents(scorer, documents, segmentations=None) -> list:
+    """Greedy-decode a list of documents (word lists) and return their trees
+    in input order; `segmentations`, if given, holds each document's gold
+    EDU spans or None.
+
+    The documents are sorted by length and cut into groups of at most
+    `GROUP_TOKENS` tokens (a longer document is a group alone).  The scorer
+    encodes each group at once, every document at its unit boundaries
+    only, and `parse_greedy` decodes its documents one by one.
+    """
+    if segmentations is None:
+        segmentations = [None] * len(documents)
+    bounds = [
+        unit_bounds(len(words), edus) for words, edus in zip(documents, segmentations)
+    ]
+    trees = [None] * len(documents)
+    for group in _groups([len(words) for words in documents]):
+        scorer.prepare([documents[k] for k in group], [bounds[k] for k in group])
+        for member, k in enumerate(group):
+            trees[k] = parse_greedy(scorer, documents[k], segmentations[k], member)
+    return trees
+
+
+def _groups(lengths) -> list:
+    """Document indices sorted by length and cut into groups of at most
+    GROUP_TOKENS tokens, or of one longer document."""
+    groups, tokens = [], 0
+    for k in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if not groups or tokens + lengths[k] > GROUP_TOKENS:
+            groups.append([])
+            tokens = 0
+        groups[-1].append(k)
+        tokens += lengths[k]
+    return groups
+
+
+def parse_greedy(scorer, words, edu_spans=None, member=None) -> JointTree:
     """Decode a document by always taking the highest-scoring legal action.
 
-    `scorer` must provide ``prepare(words)``, ``structural(below, i, j)``
-    returning the raw (shift, combine) scores as two floats,
-    ``labels(i, k, j)`` returning raw scores over the label inventory (no-label
-    first) for arrays of sites, one row per site, and ``inventory()``
-    returning that inventory as a list whose first element is None.
+    `scorer` must provide:
+
+    * ``prepare(documents, bounds)``, which readies a group of documents
+      (word lists), each with its unit boundaries (see `unit_bounds`);
+    * ``select(k)``, which makes document k of that group the one scored;
+    * ``structural(below, i, j)``, returning the raw (shift, combine) scores
+      as two floats;
+    * ``labels(i, k, j)``, returning raw scores over the label inventory
+      (no-label first) for arrays of sites, one row per site;
+    * ``inventory()``, returning that inventory as a list whose first
+      element is None.
+
+    Boundaries are token positions.  `member` is the document's place in
+    the group the scorer was last prepared with (see `parse_documents`);
+    by default the scorer is prepared with this document alone.
 
     A label never moves the stack, so labels do not steer the derivation:
     the structural loop defers every label (see `derive`) and records its
@@ -513,7 +559,10 @@ def parse_greedy(scorer, words, edu_spans=None) -> JointTree:
     advances one whole EDU (its internal labeling is fixed to a placeholder),
     and only discourse relations may label the spans built above EDUs.
     """
-    scorer.prepare(words)
+    if member is None:
+        scorer.prepare([words], [unit_bounds(len(words), edu_spans)])
+        member = 0
+    scorer.select(member)
     chains = scorer.inventory()
     sites, masks = [], []
 

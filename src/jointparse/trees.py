@@ -23,6 +23,7 @@ label chain at the span level (``S+VP``), so a span is labeled at most
 once during parsing.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 SATELLITE_THEN_NUCLEUS = "satellite_then_nucleus"  # rendered "Rel->"
@@ -157,6 +158,9 @@ def parse_chain(chain: str):
     return [parse_label(part) for part in chain.split(CHAIN_SEPARATOR)]
 
 
+# `derive` asks this of every chain of the label inventory per document in
+# gold-EDU mode; an inventory holds a few hundred chains.
+@functools.lru_cache(maxsize=1 << 16)
 def is_discourse_chain(chain: str) -> bool:
     labels = parse_chain(chain)
     return len(labels) == 1 and isinstance(labels[0], DiscourseLabel)

@@ -308,22 +308,41 @@ class TestParseAndEval:
         for gold, pred in zip(trees, preds):
             assert extract_edus(pred) == extract_edus(gold)
 
-    def test_jobs_flag_is_deterministic(self, run_dir, tmp_path, capsys):
+    def test_jobs_flag_is_deterministic(self, run_dir, tmp_path, capsys, monkeypatch):
+        # Whatever groups the documents are encoded in, end to end and with
+        # gold EDUs: one command over the file, the pool's workers (one
+        # document each), several groups, and one command per document.
+        from jointparse import transition
+        from jointparse.trees import extract_edus
+
         base, treebank, out = run_dir
         trees = serialize.read_treebank(treebank)
-        tokens_file = tmp_path / "tokens.txt"
-        tokens_file.write_text(
-            "\n\n".join(" ".join(t.text for t in tree.tokens) for tree in trees)
-        )
-        _, serial_out, _ = run(
-            capsys, "parse", "--model", str(out / "best.ckpt"),
-            "--input", str(tokens_file), "--jobs", "1",
-        )
-        _, parallel_out, _ = run(
-            capsys, "parse", "--model", str(out / "best.ckpt"),
-            "--input", str(tokens_file), "--jobs", "2",
-        )
-        assert serial_out == parallel_out
+        assert len({len(tree.tokens) for tree in trees}) > 1  # groups reorder
+
+        def parse(name, docs, gold_edus, *extra):
+            tokens_file = tmp_path / f"{name}.txt"
+            tokens_file.write_text(
+                "\n\n".join(" ".join(t.text for t in tree.tokens) for tree in docs)
+            )
+            argv = ["parse", "--model", str(out / "best.ckpt"),
+                    "--input", str(tokens_file), *extra]
+            if gold_edus:
+                edus_file = tmp_path / f"{name}.edus"
+                serialize.write_segmentation([extract_edus(t) for t in docs], edus_file)
+                argv += ["--gold-edus", str(edus_file)]
+            code, stdout, _ = run(capsys, *argv)
+            assert code == 0
+            return stdout
+
+        for gold_edus in (False, True):
+            serial_out = parse("all", trees, gold_edus, "--jobs", "1")
+            assert parse("all", trees, gold_edus, "--jobs", "2") == serial_out
+            assert "".join(
+                parse(f"doc{k}", [tree], gold_edus) for k, tree in enumerate(trees)
+            ) == serial_out
+            with monkeypatch.context() as patch:
+                patch.setattr(transition, "GROUP_TOKENS", 12)
+                assert parse("all", trees, gold_edus) == serial_out
 
     def test_pool_has_at_most_one_worker_per_document(
         self, run_dir, tmp_path, capsys, monkeypatch

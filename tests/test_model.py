@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import deep_tree
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointparse import cli, model, transition
 from jointparse.model import (
@@ -34,8 +36,8 @@ from jointparse.model import (
 )
 from jointparse.serialize import write_joint
 from jointparse.synthetic import generate_treebank
-from jointparse.transition import derive, parse_greedy, reconstruct
-from jointparse.trees import extract_edus
+from jointparse.transition import derive, parse_documents, parse_greedy, reconstruct
+from jointparse.trees import EduSpan, extract_edus
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +174,11 @@ def _reference_loss(params, ids, steps, masks):
     return loss, grads
 
 
-def _gate_keeping_forward(params, name, xs):
-    """The model's LSTM forward, step for step, keeping every step's gates
-    (sigmoid i, f, o and tanh g) and tanh(c) in the cache."""
+def _gate_keeping_forward(params, name, sequences):
+    """The model's LSTM forward of one sequence, step for step, keeping
+    every step's gates (sigmoid i, f, o and tanh g) and tanh(c) in the
+    cache."""
+    [xs] = sequences
     Wx, Wh, b = (params[f"{name}.{part}"] for part in ("Wx", "Wh", "b"))
     n, H = xs.shape[0], Wh.shape[1]
     inputs = xs @ Wx.T + b
@@ -193,8 +197,8 @@ def _gate_keeping_forward(params, name, xs):
         cells[t + 1] = f * cells[t] + i * g
         tanh_cells[t] = np.tanh(cells[t + 1])
         states[t + 1] = o * tanh_cells[t]
-    return SimpleNamespace(xs=xs, states=states, cells=cells, gates=gates,
-                           tanh_cells=tanh_cells)
+    return [SimpleNamespace(xs=xs, states=states, cells=cells, gates=gates,
+                            tanh_cells=tanh_cells)]
 
 
 def _gate_reading_backward(params, name, cache, d_states, grads):
@@ -315,7 +319,8 @@ class TestEncode:
         words = vocab.words[1:8]
         ids = [vocab.token_id(w) for w in words]
         scorer = SpanScorer(params, vocab)
-        scorer.prepare(words)
+        scorer.prepare([words])
+        scorer.select(0)
         rng = np.random.default_rng(5)
         for rate in (0.0, 0.5):
             masks = make_dropout_masks(len(ids), config, rate, rng)
@@ -419,9 +424,10 @@ class TestLoss:
         assert not enc.caches and enc.heads is None
         with pytest.raises(ModelError, match="encode the document again"):
             loss_and_gradients(params, enc, [label])
-        # Inference scoring strips the caches and features the loss needs.
+        # An inference encoding holds no caches or features for the loss.
         scorer = SpanScorer(params, vocab)
-        scorer.prepare(vocab.words[1:3])
+        scorer.prepare([vocab.words[1:3]])
+        scorer.select(0)
         with pytest.raises(ModelError, match="encode the document again"):
             loss_and_gradients(params, scorer.enc, [label])
 
@@ -750,7 +756,8 @@ class TestCheckpoint:
 def test_span_scorer_interface(setup):
     _, vocab, _, params = setup
     scorer = SpanScorer(params, vocab)
-    scorer.prepare(["w1", "w2", "w3"])
+    scorer.prepare([["w1", "w2", "w3"]])
+    scorer.select(0)
     pair = scorer.structural(-1, 0, 1)
     assert len(pair) == 2 and all(type(score) is float for score in pair)
     labels = scorer.labels([0, 1], [1, 1], [2, 2])  # one row per site
@@ -762,11 +769,82 @@ def test_prepared_scorer_keeps_only_head_rows(setup):
     _, vocab, _, params = setup
     scorer = SpanScorer(params, vocab)
     for words in (["w1", "w2", "w3"], ["w4"]):
-        scorer.prepare(words)
+        scorer.prepare([words])
+        scorer.select(0)
         assert scorer.enc.caches == {}
         assert scorer.enc.boundary is None
         for blocks in scorer.enc.heads.values():
             assert all(rows.shape[0] == len(words) + 1 for rows in blocks)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 60), min_size=1, max_size=6)
+    | st.tuples(st.integers(1, 60), st.integers(2, 6)).map(lambda nb: [nb[0]] * nb[1]),
+    unit_rows=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+def test_group_head_rows_match_one_document_encode(setup, lengths, unit_rows, seed):
+    # A group's batched recurrence gives every document the head rows that
+    # encoding it alone gives, at all its boundaries or at its unit
+    # boundaries only; a group of one gives all of them bit for bit.
+    _, vocab, _, params = setup
+    rng = np.random.default_rng(seed)
+    documents = [list(rng.choice(vocab.words, n)) for n in lengths]
+    bounds = None
+    if unit_rows:
+        bounds = [
+            sorted({0, n, *rng.integers(0, n + 1, rng.integers(0, n + 1)).tolist()})
+            for n in lengths
+        ]
+    scorer = SpanScorer(params, vocab)
+    scorer.prepare(documents, bounds)
+    for k, words in enumerate(documents):
+        scorer.select(k)
+        alone = encode(params, [vocab.token_id(w) for w in words])
+        rows = bounds[k] if unit_rows else slice(None)
+        for head, blocks in alone.heads.items():
+            for want, got in zip(blocks, scorer.enc.heads[head]):
+                want = want[rows]
+                if len(documents) == 1 and not unit_rows:
+                    assert np.array_equal(got, want)
+                else:
+                    assert got.shape == want.shape
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_parse_memory_stays_within_one_group(monkeypatch):
+    # The traced peak of parsing, above the trees it returns, is one
+    # group's: the same for 32 documents of 300-400 tokens as for 8, and
+    # far below what one group of all 32 takes.  Gold EDUs of 25 tokens
+    # keep the decoding, which tracing slows, short.
+    words = [f"w{k}" for k in range(400)]
+    vocab = Vocabulary(["<unk>", *words], {}, ["<-Elaboration", "NP", "S"])
+    config = ModelConfig(word_dim=8, hidden_dim=32, scorer_hidden=16)
+    params = init_parameters(vocab, config, np.random.default_rng(4))
+    rng = np.random.default_rng(5)
+    documents = [list(rng.choice(words, rng.integers(300, 401))) for _ in range(32)]
+    edus = [
+        [EduSpan(start, min(start + 25, len(doc))) for start in range(0, len(doc), 25)]
+        for doc in documents
+    ]
+
+    def working_memory(count):
+        tracemalloc.start()
+        try:
+            trees = parse_documents(
+                SpanScorer(params, vocab), documents[:count], edus[:count]
+            )
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trees) == count
+        return peak - current
+
+    few, many = working_memory(8), working_memory(32)
+    assert many <= 1.1 * few, (few, many)
+    monkeypatch.setattr(transition, "GROUP_TOKENS", 400 * len(documents))
+    assert working_memory(32) >= 4 * many
 
 
 def test_prepare_keeps_memory_per_token_within_states_and_cells():
@@ -785,7 +863,8 @@ def test_prepare_keeps_memory_per_token_within_states_and_cells():
     per_token = 8 * (18 * H + config.word_dim + 8 * hs)
     tracemalloc.start()
     try:
-        scorer.prepare(words)
+        scorer.prepare([words])
+        scorer.select(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -848,8 +927,10 @@ def test_decoding_memory_after_prepare_is_bounded_by_label_blocks():
     vocab = Vocabulary(["<unk>", *words], {}, [f"C{k}" for k in range(230)])
     params = init_parameters(vocab, ModelConfig(), np.random.default_rng(3))
     scorer = SpanScorer(params, vocab)
-    scorer.prepare(words)
-    scorer.prepare = lambda words: None  # keep the encoding made above
+    scorer.prepare([words])
+    scorer.select(0)
+    # keep the encoding made above
+    scorer.prepare = scorer.select = lambda *args: None
     tracemalloc.start()
     try:
         parse_greedy(scorer, words)

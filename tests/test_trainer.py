@@ -438,20 +438,20 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["end2end", "goldedu"])
     def test_each_document_encoded_once_per_epoch(self, corpus, monkeypatch, mode):
-        # The rollout's encoding feeds the loss; dev decoding encodes each
-        # dev document once more.
+        # The rollout's encoding feeds the loss; dev decoding encodes the
+        # dev documents once more, as one group.
         encoded = []
         original = model.encode
 
-        def counting(params, ids, masks=None):
+        def counting(params, ids, masks=None, **group):
             encoded.append(len(ids))
-            return original(params, ids, masks)
+            return original(params, ids, masks, **group)
 
         monkeypatch.setattr(model, "encode", counting)
         monkeypatch.setattr(trainer, "encode", counting)
         config = oracle_free_config(epochs=2, dev_size=2, dropout=0.5, mode=mode)
         train(corpus, config, SMALL_MODEL)
-        assert len(encoded) == config.epochs * len(corpus)
+        assert len(encoded) == config.epochs * (len(corpus) - config.dev_size + 1)
         tokens = sum(len(doc.tokens) for doc in corpus)
         assert sum(encoded) == config.epochs * tokens
 

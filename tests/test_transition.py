@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import parse_actions, state_after
-from jointparse import transition
+from jointparse import transition, trees
 from jointparse.synthetic import generate_synthetic
 from jointparse.transition import (
     COMBINE_ACTION,
@@ -140,6 +140,24 @@ class TestLegalActions:
         assert mask.tolist() == slots.tolist() and mask is not slots
         root = state_after(2, "SH NL SH NL CB")
         assert legal_mask(root, slots).tolist() == [False] + slots.tolist()[1:]
+
+    def test_gold_edu_derivations_parse_each_chain_once(self, monkeypatch):
+        # The slots depend on the inventory alone, so a second document's
+        # derivation parses no chain again.
+        parsed = []
+        original = trees.parse_chain
+
+        def counting(chain):
+            parsed.append(chain)
+            return original(chain)
+
+        monkeypatch.setattr(trees, "parse_chain", counting)
+        is_discourse_chain.cache_clear()
+        edus = [EduSpan(0, 2), EduSpan(2, 3)]
+        for _ in range(2):
+            choosers = RecordingChoosers()
+            derive(3, [None, *CHAINS], choosers.structural, choosers.label, edus)
+        assert sorted(parsed) == sorted(CHAINS)
 
 
 class TestApply:
@@ -336,8 +354,11 @@ class CountingScorer:
         self.structural_calls = 0
         self.label_sites = 0
 
-    def prepare(self, words):
-        self.n = len(words)
+    def prepare(self, documents, bounds):
+        self.lengths = [len(words) for words in documents]
+
+    def select(self, k):
+        self.n = self.lengths[k]
 
     def _noise(self, *key):
         return np.random.default_rng(hash((self.seed,) + key) % 2**32).normal()
