@@ -55,12 +55,18 @@ Everything is float64 numpy with hand-written backpropagation, so gradient
 correctness is checkable against central finite differences.
 """
 
+import io
 import itertools
 import json
 import math
+import struct
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, fields
+from tokenize import TokenError
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .trees import labeled_spans
 
@@ -894,51 +900,90 @@ def save_checkpoint(path, params, vocab, config) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (params, vocab, config); validates shapes and finiteness.
-
-    The parameters are views of one float64 buffer.  Each stored member is
-    read, checked, copied into its view and dropped before the next is
-    read, so a load holds the model and at most one member besides.  One
-    buffer also faults in far fewer pages than one array per member, since
-    numpy advises huge pages for allocations of 4 MiB or more.
+    """Returns (params, vocab, config); checks the version, config,
+    vocabulary, each parameter's name, shape and finiteness, and each
+    member's zip CRC-32.  Parameters are views of one float64 buffer: a
+    stored member with the `.npy` header numpy writes for its view is read
+    with one `readinto` into the view, after its zip local header is
+    checked; numpy reads any other (deflated, say) and it is copied in.  A
+    damaged or foreign file raises `ModelError` naming the path and member.
     """
-    with np.load(path, allow_pickle=False) as data:
-        if "__meta__" not in data:
-            raise ModelError(f"{path}: not a checkpoint (missing metadata)")
-        try:
-            meta = json.loads(str(data["__meta__"]))
-        except json.JSONDecodeError:
-            meta = None
-        if not isinstance(meta, dict):
-            raise ModelError(f"{path}: checkpoint metadata is not a JSON object")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ModelError(f"unsupported checkpoint version {meta.get('version')!r}")
-        config = meta.get("config")
-        keys = {f.name for f in fields(ModelConfig)}
-        if not isinstance(config, dict) or set(config) != keys:
-            raise ModelError(f"checkpoint config must hold exactly {sorted(keys)}")
-        if not isinstance(meta.get("vocabulary"), dict):
-            raise ModelError("checkpoint lacks a vocabulary")
-        config = ModelConfig(**config)
-        vocab = Vocabulary.from_dict(meta["vocabulary"])
-        expected = parameter_shapes(vocab, config)
-        stored = set(data.files) - {"__meta__"}
-        if set(expected) != stored:
-            missing = sorted(set(expected) ^ stored)
-            raise ModelError(f"checkpoint parameter names do not match: {missing}")
-        buffer = np.empty(sum(math.prod(shape) for shape in expected.values()))
-        params = {}
-        offset = 0
-        for key, shape in expected.items():
-            member = data[key]
-            if member.shape != shape:
-                raise ModelError(
-                    f"checkpoint {key} has shape {member.shape}, expected {shape}"
-                )
-            view = params[key] = buffer[offset : offset + member.size].reshape(shape)
-            offset += member.size
-            view[...] = member  # casts a narrower stored dtype to float64
-            del member
-            if not np.isfinite(view).all():
-                raise ModelError(f"checkpoint {key} holds non-finite values")
+    handle = open(path, "rb")  # a missing file's OSError already names it
+    key = None
+    try:
+        with handle, zipfile.ZipFile(handle) as archive:
+            infos = {i.filename.removesuffix(".npy"): i for i in archive.infolist()}
+            if "__meta__" not in infos:
+                raise ModelError("not a checkpoint (missing metadata)")
+            key = "__meta__"
+            try:
+                meta = json.loads(str(_read_npy(archive, infos[key])))
+            except json.JSONDecodeError:
+                meta = None
+            if not isinstance(meta, dict):
+                raise ModelError("checkpoint metadata is not a JSON object")
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ModelError(f"unsupported checkpoint version {meta.get('version')!r}")
+            config = meta.get("config")
+            keys = {f.name for f in fields(ModelConfig)}
+            if not isinstance(config, dict) or set(config) != keys:
+                raise ModelError(f"checkpoint config must hold exactly {sorted(keys)}")
+            if not isinstance(meta.get("vocabulary"), dict):
+                raise ModelError("checkpoint lacks a vocabulary")
+            config = ModelConfig(**config)
+            vocab = Vocabulary.from_dict(meta["vocabulary"])
+            expected = parameter_shapes(vocab, config)
+            stored = set(infos) - {"__meta__"}
+            if set(expected) != stored:
+                missing = sorted(set(expected) ^ stored)
+                raise ModelError(f"checkpoint parameter names do not match: {missing}")
+            buffer = np.empty(sum(math.prod(shape) for shape in expected.values()))
+            params = {}
+            offset = 0
+            for key, shape in expected.items():
+                size = math.prod(shape)
+                view = params[key] = buffer[offset : offset + size].reshape(shape)
+                offset += size
+                if not _read_stored(handle, infos[key], view):
+                    member = _read_npy(archive, infos[key])
+                    if member.shape != shape:
+                        raise ModelError(
+                            f"checkpoint {key} has shape {member.shape}, expected {shape}"
+                        )
+                    view[...] = member  # casts a narrower stored dtype to float64
+                    del member
+                if not np.isfinite(view).all():
+                    raise ModelError(f"checkpoint {key} holds non-finite values")
+    except (OSError, EOFError, RuntimeError, ValueError, TokenError, struct.error,
+            zlib.error, zipfile.BadZipFile) as err:  # ModelError is a ValueError
+        where = "" if key is None or isinstance(err, ModelError) else f"member {key}: "
+        raise ModelError(f"{path}: {where}{err}") from None
     return params, vocab, config
+
+
+def _read_npy(archive, info):
+    with archive.open(info) as member:
+        array = npy.read_array(member, allow_pickle=False)
+        member.read()  # to the member's end, where zipfile checks its CRC-32
+    return array
+
+
+def _read_stored(handle, info, view):
+    """Reads member `info` into `view` with one `readinto` if it is stored
+    with the `.npy` header numpy writes for `view`; else returns False."""
+    handle.seek(info.header_offset)
+    name = info.orig_filename
+    signature, name_size, extra_size = struct.unpack("<4s22x2H", handle.read(30))
+    if signature != b"PK\x03\x04" or handle.read(name_size) != name.encode():
+        raise zipfile.BadZipFile(f"Bad local header for file {name!r}")
+    handle.seek(extra_size, 1)
+    header = io.BytesIO()
+    npy.write_array_header_1_0(header, npy.header_data_from_array_1_0(view))
+    header = header.getvalue()
+    if (info.compress_type != zipfile.ZIP_STORED or handle.read(len(header)) != header
+            or info.file_size != len(header) + view.nbytes):
+        return False
+    crc = zlib.crc32(header)
+    if handle.readinto(view) != view.nbytes or zlib.crc32(view, crc) != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
+    return True

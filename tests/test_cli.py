@@ -2,7 +2,9 @@ import gc
 import json
 import os
 import weakref
+import zipfile
 
+import numpy as np
 import pytest
 
 from conftest import fixture_text
@@ -437,6 +439,41 @@ class TestParseAndEval:
         )
         assert code == 1
         assert "segmentation" in stderr
+
+    @pytest.mark.parametrize("damage", ["flipped-bit", "cut", "plain-npy", "text"])
+    def test_damaged_or_foreign_model_rejected(self, run_dir, tmp_path, capsys,
+                                               damage):
+        # A validation failure (exit 1) whose message names the file, and
+        # the member whose bytes no longer match its CRC-32.
+        _base, _treebank, out = run_dir
+        original = (out / "best.ckpt").read_bytes()
+        model = tmp_path / "model.ckpt"
+        if damage == "flipped-bit":
+            with zipfile.ZipFile(out / "best.ckpt") as archive:
+                infos = archive.infolist()
+            k = [info.filename for info in infos].index("lstm1f.Wh.npy")
+            data = bytearray(original)
+            # The middle of the member, well past its 128-byte .npy header.
+            data[infos[k + 1].header_offset - infos[k].file_size // 2] ^= 0x10
+            model.write_bytes(data)
+        elif damage == "cut":
+            model.write_bytes(original[: len(original) // 2])
+        elif damage == "plain-npy":
+            with open(model, "wb") as handle:
+                np.save(handle, np.zeros(3))
+        else:
+            model.write_text("not a model\n")
+        tokens_file = tmp_path / "tokens.txt"
+        tokens_file.write_text("a b c\n")
+        code, stdout, stderr = run(
+            capsys, "parse", "--model", str(model), "--input", str(tokens_file)
+        )
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: {model}: ")
+        if damage == "flipped-bit":
+            assert "member lstm1f.Wh: Bad CRC-32" in stderr
+        else:
+            assert "not a zip file" in stderr
 
 
 class TestVerifyCommand:

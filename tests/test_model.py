@@ -637,6 +637,96 @@ class TestCheckpoint:
         largest = max(array.nbytes for array in loaded.values())
         assert peak <= model_bytes + largest + 2**20, (peak, model_bytes, largest)
 
+    def test_load_allocates_only_the_model(self, tmp_path):
+        # Stored float64 members are read straight into the parameter
+        # buffer, so no member-sized temporary is allocated besides it.
+        trees = generate_treebank("checkpoint-memory", 4, max_tokens=10)
+        vocab = Vocabulary.from_treebank(trees)
+        config = ModelConfig()
+        params = init_parameters(vocab, config, np.random.default_rng(1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        del params
+        tracemalloc.start()
+        try:
+            loaded, _, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model_bytes = sum(array.nbytes for array in loaded.values())
+        assert peak <= model_bytes + 2**20, (peak, model_bytes)
+
+    @pytest.mark.parametrize("encoding", ["deflated", "fortran-order", "big-endian"])
+    def test_other_member_encodings_load(self, setup, tmp_path, encoding):
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        if encoding == "fortran-order":
+            arrays["lstm1f.Wh"] = np.asfortranarray(arrays["lstm1f.Wh"])
+        elif encoding == "big-endian":
+            arrays["label.W1"] = arrays["label.W1"].astype(">f8")
+        with open(path, "wb") as handle:
+            (np.savez_compressed if encoding == "deflated" else np.savez)(
+                handle, **arrays
+            )
+        loaded, _, _ = load_checkpoint(path)
+        for key, array in params.items():
+            assert loaded[key].dtype == np.float64 and loaded[key].flags.c_contiguous
+            assert np.array_equal(loaded[key], array), key
+
+    @given(
+        dims=st.tuples(*[st.integers(1, 12)] * 3),
+        docs=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    def test_loads_the_bytes_np_load_reads(self, tmp_path_factory, dims, docs, seed):
+        trees = generate_treebank(f"checkpoint-{seed}", docs, max_tokens=12)
+        vocab = Vocabulary.from_treebank(trees)
+        config = ModelConfig(*dims)
+        params = init_parameters(vocab, config, np.random.default_rng(seed))
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        loaded, _, _ = load_checkpoint(path)
+        with np.load(path) as data:
+            for key, array in loaded.items():
+                stored = data[key]
+                assert array.shape == stored.shape and array.dtype == stored.dtype
+                assert array.tobytes() == stored.tobytes(), key
+
+    @pytest.mark.parametrize("deflated", [False, True], ids=["stored", "deflated"])
+    def test_single_bit_damage_fails_or_changes_nothing(self, setup, tmp_path,
+                                                        deflated):
+        # A flipped bit anywhere in the file either raises ModelError or
+        # lies in a field that no reader uses (a time stamp, say).
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        if deflated:
+            with np.load(path) as data:
+                arrays = {k: data[k] for k in data.files}
+            with open(path, "wb") as handle:
+                np.savez_compressed(handle, **arrays)
+        original = path.read_bytes()
+        rng = np.random.default_rng(5)
+        damaged = tmp_path / "damaged.ckpt"
+        failures = 0
+        for pos, bit in zip(rng.integers(0, len(original), 300), rng.integers(0, 8, 300)):
+            data = bytearray(original)
+            data[pos] ^= 1 << bit
+            damaged.write_bytes(data)
+            try:
+                loaded, _, _ = load_checkpoint(damaged)
+            except ModelError as err:
+                assert str(damaged) in str(err)
+                failures += 1
+                continue
+            for key, array in params.items():
+                assert np.array_equal(loaded[key], array), (pos, bit, key)
+        assert failures > 200
+
     def test_shape_mismatch_rejected(self, setup, tmp_path):
         _, vocab, config, params = setup
         path = tmp_path / "model.ckpt"
