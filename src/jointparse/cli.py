@@ -141,9 +141,11 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def read_valid_treebank(path) -> list:
-    """A joint treebank whose every tree passes `validate_tree`."""
-    treebank = serialize.read_treebank(path)
+def read_valid_treebank(path, limit=None) -> list:
+    """A joint treebank, or its first `limit` documents, whose every tree
+    passes `validate_tree`; the documents after those are neither parsed
+    nor checked."""
+    treebank = serialize.read_treebank(path, limit)
     for number, tree in enumerate(treebank, 1):
         try:
             validate_tree(tree)
@@ -154,10 +156,7 @@ def read_valid_treebank(path) -> list:
 
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
-    treebank = read_valid_treebank(args.treebank)
-    limit = run["data"].get("limit")
-    if limit is not None:
-        treebank = treebank[:limit]
+    treebank = read_valid_treebank(args.treebank, run["data"].get("limit"))
     model_config = ModelConfig(**run["model"])
     train_config = trainer.TrainConfig(**run["train"])
 

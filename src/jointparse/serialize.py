@@ -6,6 +6,8 @@ hold only whitespace separate the blocks.  Segmentation files carry one
 document per line as space-separated ``start:end`` ranges.
 """
 
+from itertools import islice
+
 from .ptb import escape_token, unescape_token
 from .trees import (
     EduSpan,
@@ -106,16 +108,19 @@ def write_treebank(trees, path) -> None:
             handle.write(write_joint(tree, heads) + "\n\n")
 
 
-def read_treebank(path) -> list:
+def read_treebank(path, limit=None) -> list:
+    """The trees of a treebank file, or of its first `limit` blocks; the
+    blocks after those are not parsed, so they may be malformed."""
     with open(path, encoding="utf-8") as handle:
-        return read_treebank_text(handle.read())
+        return read_treebank_text(handle.read(), limit)
 
 
-def read_treebank_text(text: str) -> list:
-    """The trees of a treebank text; an error names the document and its line."""
+def read_treebank_text(text: str, limit=None) -> list:
+    """The trees of a treebank text, or of its first `limit` blocks, whose
+    later blocks are not parsed; an error names the document and its line."""
     trees = []
     labels = {}
-    for line, block in text_blocks(text):
+    for line, block in islice(text_blocks(text), limit):
         try:
             trees.append(_read_block(block, labels))
         except JointParseError as exc:

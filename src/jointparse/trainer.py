@@ -309,10 +309,13 @@ def train(
         if metrics[selection] >= result.best_f1:
             result.best_f1 = metrics[selection]
             result.best_epoch = epoch
-            if result.params is params:  # once, in the freed gradients' place
-                result.params = {k: np.empty_like(v) for k, v in params.items()}
-            for key, array in params.items():
-                np.copyto(result.params[key], array)
+            if epoch == config.epochs:  # no update follows: keep the live arrays
+                result.params = params
+            else:
+                if result.params is params:  # once, in the freed gradients' place
+                    result.params = {k: np.empty_like(v) for k, v in params.items()}
+                for key, array in params.items():
+                    np.copyto(result.params[key], array)
             if out_dir is not None:
                 shutil.copyfile(epoch_path, f"{out_dir}/best.ckpt")
     return result

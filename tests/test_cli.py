@@ -245,6 +245,53 @@ class TestInputValidation:
         assert "document 1" in stderr and "multi-nuclear" in stderr
         assert not (out / "best.ckpt").exists()
 
+    @staticmethod
+    def train(capsys, tmp_path, treebank, limit, out):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "data": {} if limit is None else {"limit": limit},
+            "model": {"word_dim": 4, "hidden_dim": 4, "scorer_hidden": 4},
+            "train": {"epochs": 1, "dev_size": 1},
+        }))
+        return run(
+            capsys, "train", "--config", str(config),
+            "--treebank", str(treebank), "--out", str(tmp_path / out),
+        )
+
+    def test_train_reads_only_the_limit_prefix(self, tmp_path, capsys):
+        # A malformed block after the `data.limit` prefix is never read, and
+        # the run equals one on a file that holds only the prefix.
+        trees = generate_treebank("cli-limit", 5, max_tokens=10, max_edus=3)
+        blocks = [serialize.write_joint(tree) for tree in trees]
+        prefix, damaged = tmp_path / "prefix.joint", tmp_path / "damaged.joint"
+        prefix.write_text("\n\n".join(blocks[:4]) + "\n")
+        damaged.write_text("\n\n".join([*blocks[:4], "(S (NP x)", blocks[4]]) + "\n")
+        for treebank in (prefix, damaged):
+            code, _out, stderr = self.train(
+                capsys, tmp_path, treebank, 4, treebank.stem
+            )
+            assert code == 0, stderr
+        with np.load(tmp_path / "prefix" / "best.ckpt") as first, \
+                np.load(tmp_path / "damaged" / "best.ckpt") as second:
+            assert first.files == second.files
+            for key in first.files:
+                assert np.array_equal(first[key], second[key]), key
+
+    def test_train_limit_keeps_prefix_errors(self, tmp_path, capsys):
+        good = [
+            serialize.write_joint(tree)
+            for tree in generate_treebank("cli-limit", 2, max_tokens=10, max_edus=3)
+        ]
+        treebank = tmp_path / "bad.joint"
+        treebank.write_text(f"{good[0]}\n\n{good[1]}\n\n(S (NP x)\n\n{good[0]}\n")
+        errors = []
+        for limit in (None, 3, 4):
+            code, stdout, stderr = self.train(capsys, tmp_path, treebank, limit, "o")
+            assert code == 1 and not stdout
+            errors.append(stderr)
+        assert errors[0] == "error: document 3 (line 5): unbalanced '('\n"
+        assert errors == [errors[0]] * 3
+
     def test_eval_rejects_ill_formed_gold(self, tmp_path, capsys):
         gold = tmp_path / "fig1.dis"
         gold.write_text(fixture_text("fig1.dis"))

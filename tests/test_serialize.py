@@ -104,6 +104,20 @@ def test_treebank_error_names_the_document(tmp_path):
             read_treebank(path)
 
 
+def test_treebank_limit_reads_a_prefix(tmp_path):
+    trees = [generate_synthetic(f"limit/{k}", max_tokens=10) for k in range(5)]
+    path = tmp_path / "trees.joint"
+    write_treebank(trees, path)
+    for limit in (1, len(trees), len(trees) + 5):
+        assert read_treebank(path, limit) == read_treebank(path)[:limit]
+    # Blocks after the prefix are not parsed.
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("(S (NP x)\n\n")
+    assert read_treebank(path, len(trees)) == trees
+    with pytest.raises(JointParseError, match=r"^document 6 \(line 11\)"):
+        read_treebank(path, len(trees) + 1)
+
+
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 # Words that the format must write as bracket escapes (-LRB- and so on).
 BRACKET_WORDS = ("(", ")", "{", "}", "[", "]")

@@ -415,6 +415,37 @@ class TestTrain:
             assert np.array_equal(best[key], result.params[key])
         assert any(not np.array_equal(best[key], third[key]) for key in best)
 
+    @pytest.mark.parametrize("scores, best_epoch", [
+        ([0.5, 0.9, 0.1], 2),
+        ([0.1, 0.2, 0.3], 3),
+    ])
+    def test_result_params_are_the_best_epoch(
+        self, corpus, tmp_path, monkeypatch, scores, best_epoch
+    ):
+        # A best epoch before the last is a snapshot, which later updates
+        # leave alone; a best last epoch keeps the live arrays, uncopied.
+        scores = iter(scores)
+        live = []
+
+        def scripted_metrics(*args):
+            f1 = next(scores)
+            return {"overall_f1": f1, "struct_f1": f1, "nuc_f1": f1, "rel_f1": f1}
+
+        def recorded_init(*args):
+            live.append(init_parameters(*args))
+            return live[-1]
+
+        monkeypatch.setattr(trainer, "dev_metrics", scripted_metrics)
+        monkeypatch.setattr(trainer, "init_parameters", recorded_init)
+        config = oracle_free_config(epochs=3, seed=5)
+        result = train(corpus, config, SMALL_MODEL, out_dir=str(tmp_path))
+        assert result.best_epoch == best_epoch
+        assert (result.params is live[0]) == (best_epoch == config.epochs)
+        saved, _, _ = load_checkpoint(tmp_path / f"epoch-{best_epoch}.ckpt")
+        assert saved.keys() == result.params.keys()
+        for key in saved:
+            assert np.array_equal(saved[key], result.params[key])
+
     def test_dev_split_holds_out_documents(self, corpus):
         config = oracle_free_config(epochs=1, dev_size=2, seed=2)
         result = train(corpus, config, SMALL_MODEL)
