@@ -196,22 +196,14 @@ def read_token_documents(path) -> list:
     return [block.split() for _line, block in serialize.text_blocks(text)]
 
 
-# The scorer of a `--jobs N` pool worker, one per worker process.  The
-# sequential path of `cmd_parse` uses it too and clears it when the command
-# ends, so that no model outlives its command.
-_WORKER = {}
-
-
-def _parse_worker_init(checkpoint):
-    _WORKER.clear()  # drop any previous model before loading this one
+def _parse_shard(shard) -> list:
+    """Load the model from `checkpoint`, decode `documents` (gold EDU spans
+    from `segmentations`, or None) in batched groups, and return their
+    `write_joint` texts.  The model is freed when this returns."""
+    checkpoint, documents, segmentations = shard
     params, vocab, _config = load_checkpoint(checkpoint)
-    _WORKER["scorer"] = SpanScorer(params, vocab)
-
-
-def _parse_worker(task):
-    index, words, edus = task
-    [tree] = parse_documents(_WORKER["scorer"], [words], [edus])
-    return index, serialize.write_joint(tree)
+    trees = parse_documents(SpanScorer(params, vocab), documents, segmentations)
+    return [serialize.write_joint(tree) for tree in trees]
 
 
 def cmd_parse(args) -> int:
@@ -229,24 +221,19 @@ def cmd_parse(args) -> int:
                 raise ValidationFailure(
                     "segmentation does not cover the document exactly"
                 )
-    tasks = [
-        (i, words, segmentations[i] if segmentations else None)
-        for i, words in enumerate(documents)
+    # Shard k holds documents k, k + S, ...; each worker process parses one.
+    S = max(1, min(args.jobs, len(documents)))
+    shards = [
+        (args.model, documents[k::S], segmentations and segmentations[k::S])
+        for k in range(S)
     ]
-    if args.jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(args.jobs, len(tasks)),
-            initializer=_parse_worker_init,
-            initargs=(args.model,),
-        ) as pool:
-            rendered = [text for _i, text in sorted(pool.map(_parse_worker, tasks))]
+    if S == 1:
+        rendered = _parse_shard(shards[0])
     else:
-        try:
-            _parse_worker_init(args.model)
-            trees = parse_documents(_WORKER["scorer"], documents, segmentations)
-            rendered = [serialize.write_joint(tree) for tree in trees]
-        finally:
-            _WORKER.clear()
+        rendered = [None] * len(documents)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=S) as pool:
+            for k, texts in enumerate(pool.map(_parse_shard, shards)):
+                rendered[k::S] = texts
     for text in rendered:
         print(text)
         print()

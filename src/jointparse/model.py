@@ -257,7 +257,7 @@ def zero_gradients(params) -> dict:
 class _LstmCache:
     xs: np.ndarray          # (n, in_dim)
     states: np.ndarray      # (n+1, H); states[t] = hidden after t inputs
-    cells: np.ndarray | None  # (n+1, H); None from a batched run
+    cells: np.ndarray | None  # (n+1, H); None from a batched run of two or more
 
 
 def _halved(params, name, xs):
@@ -306,28 +306,22 @@ def _lstm_forward(params, name, sequences) -> list:
     """Run LSTM `name` over each of `sequences`, a list of (n, in_dim)
     arrays that each start at step 0, and return each one's `_LstmCache`.
 
-    One sequence runs the loop of `_lstm_steps`.  Several run in one
-    batched recurrence, longest first, so that the sequences still running
-    at a step are a prefix of that order.  While two or more run, a step is
-    one product of the recurrent weights with their contiguous (H, k) block
-    of states, and the gate math runs on (4H, k) blocks; when a sequence
-    ends, the blocks are cut to the ones left.  Inputs and states are packed
-    by step, each step's rows those of the sequences it runs.  Once one
-    sequence is left, its state and cell go on in `_lstm_steps`.  A batched
-    run keeps only hidden states: inference, which alone makes one, reads
-    nothing else."""
-    if len(sequences) == 1:
-        xs = sequences[0]
-        inputs, Wh = _halved(params, name, xs)
-        states = np.zeros((len(xs) + 1, Wh.shape[1]))
-        cells = np.zeros_like(states)
-        _lstm_steps(Wh, inputs, states, cells)
-        return [_LstmCache(xs, states, cells)]
+    The sequences run in one batched recurrence, longest first, so that the
+    sequences still running at a step are a prefix of that order.  While two
+    or more run, a step is one product of the recurrent weights with their
+    contiguous (H, k) block of states, and the gate math runs on (4H, k)
+    blocks; when a sequence ends, the blocks are cut to the ones left.
+    Inputs and states are packed by step, each step's rows those of the
+    sequences it runs.  Once one sequence is left, its state and cell go on
+    in `_lstm_steps`, which thus runs a lone sequence whole.  A batched run
+    keeps only hidden states: inference, which alone makes one, reads
+    nothing else; a lone sequence keeps its cells for the backward pass."""
     lengths = [len(xs) for xs in sequences]
     order = sorted(range(len(sequences)), key=lambda k: -lengths[k])
-    longest, steps = lengths[order[0]], lengths[order[1]]  # two or more run
+    longest = lengths[order[0]]
+    steps = lengths[order[1]] if len(order) > 1 else 0  # while two or more run
     running = [sum(lengths[k] > t for k in order) for t in range(steps)]
-    offsets = np.concatenate([[0], np.cumsum(running)])
+    offsets = np.cumsum([0] + running)
     packed = offsets[-1]
     # Each sequence's rows at its batched steps; the longest one's later
     # steps follow them all.
@@ -365,6 +359,8 @@ def _lstm_forward(params, name, sequences) -> list:
         cells = np.empty((longest + 1, H))
         cells[steps] = C[:, 0]
         _lstm_steps(Wh, inputs[packed:], caches[order[0]].states, cells, steps)
+        if steps == 0:
+            caches[order[0]].cells = cells
     return caches
 
 
@@ -463,10 +459,6 @@ class Encoding:
     heads: dict = field(repr=False, default_factory=dict)
     caches: dict = field(repr=False, default_factory=dict)
     masks: DropoutMasks | None = None
-
-    @property
-    def n(self):
-        return len(self.ids)
 
     @property
     def scale(self):

@@ -12,6 +12,7 @@ from conftest import fixture_text
 from jointparse import cli, serialize
 from jointparse.model import load_checkpoint
 from jointparse.synthetic import generate_treebank
+from jointparse.trees import extract_edus
 
 
 def run(capsys, *argv):
@@ -134,6 +135,30 @@ class TestConvert:
         )
         assert code == 1
         assert "doc3" in stderr
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the parse pool with one that runs its tasks in this process,
+    recording each pool's size and the list of tasks it maps."""
+    record = {"sizes": [], "tasks": []}
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            record["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            record["tasks"].append(list(tasks))
+            return map(fn, record["tasks"][-1])
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -338,8 +363,6 @@ class TestParseAndEval:
         assert all(value == 100.0 for value in corpus.values())
 
     def test_gold_edu_parse(self, run_dir, tmp_path, capsys):
-        from jointparse.trees import extract_edus
-
         base, treebank, out = run_dir
         trees = serialize.read_treebank(treebank)
         tokens_file = tmp_path / "tokens.txt"
@@ -359,10 +382,9 @@ class TestParseAndEval:
 
     def test_jobs_flag_is_deterministic(self, run_dir, tmp_path, capsys, monkeypatch):
         # Whatever groups the documents are encoded in, end to end and with
-        # gold EDUs: one command over the file, the pool's workers (one
-        # document each), several groups, and one command per document.
+        # gold EDUs: one command over the file, the pool's two workers (every
+        # second document each), several groups, and one command per document.
         from jointparse import transition
-        from jointparse.trees import extract_edus
 
         base, treebank, out = run_dir
         trees = serialize.read_treebank(treebank)
@@ -393,39 +415,52 @@ class TestParseAndEval:
                 patch.setattr(transition, "GROUP_TOKENS", 12)
                 assert parse("all", trees, gold_edus) == serial_out
 
+    def test_jobs_shards_documents_round_robin(
+        self, run_dir, tmp_path, capsys, inline_pool
+    ):
+        # `--jobs 3` on 5 documents: 3 shards, shard k holding documents
+        # k, k + 3, ..., parsed through the batched path of `--jobs 1`.
+        _base, _treebank, out = run_dir
+        by_length = {}
+        for tree in generate_treebank("cli-shards", 40, max_tokens=12, max_edus=3):
+            by_length.setdefault(len(tree.tokens), tree)
+        trees = list(by_length.values())[:5]
+        assert len({len(tree.tokens) for tree in trees}) == 5
+        words = [[t.text for t in tree.tokens] for tree in trees]
+        tokens_file = tmp_path / "tokens.txt"
+        tokens_file.write_text("\n\n".join(" ".join(doc) for doc in words))
+        edus = [extract_edus(tree) for tree in trees]
+        edus_file = tmp_path / "edus.txt"
+        serialize.write_segmentation(edus, edus_file)
+
+        for extra, segmentations in (([], None), (["--gold-edus", str(edus_file)], edus)):
+            argv = ["parse", "--model", str(out / "best.ckpt"),
+                    "--input", str(tokens_file), *extra]
+            inline_pool["sizes"].clear()
+            inline_pool["tasks"].clear()
+            code, serial_out, _ = run(capsys, *argv, "--jobs", "1")
+            assert code == 0 and inline_pool["tasks"] == []
+            code, sharded_out, _ = run(capsys, *argv, "--jobs", "3")
+            assert code == 0 and sharded_out == serial_out
+            [tasks] = inline_pool["tasks"]
+            assert inline_pool["sizes"] == [3] and len(tasks) == 3
+            # Each document in exactly one shard, in input order within it.
+            assert [task[1] for task in tasks] == [words[k::3] for k in range(3)]
+            for k, (checkpoint, _docs, shard_edus) in enumerate(tasks):
+                assert checkpoint == str(out / "best.ckpt")
+                assert shard_edus == (segmentations and segmentations[k::3])
+
     def test_pool_has_at_most_one_worker_per_document(
-        self, run_dir, tmp_path, capsys, monkeypatch
+        self, run_dir, tmp_path, capsys, inline_pool
     ):
         _base, _treebank, out = run_dir
         tokens_file = tmp_path / "tokens.txt"
         tokens_file.write_text("a b c\n\nd e\n")
-        sizes = []
-
-        class InlinePool:
-            """Records the pool size and runs the workers in this process."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "_WORKER", {})
-        monkeypatch.setattr(
-            cli.concurrent.futures, "ProcessPoolExecutor", InlinePool
-        )
         code, stdout, _err = run(
             capsys, "parse", "--model", str(out / "best.ckpt"),
             "--input", str(tokens_file), "--jobs", "4",
         )
-        assert code == 0 and sizes == [2]
+        assert code == 0 and inline_pool["sizes"] == [2]
         assert len(serialize.read_treebank_text(stdout)) == 2
 
     def test_whitespace_only_line_separates_documents(self, run_dir, tmp_path, capsys):

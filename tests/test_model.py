@@ -24,6 +24,8 @@ from jointparse.model import (
     _dropped,
     _encoder_backward,
     _halved,
+    _lstm_forward,
+    _lstm_steps,
     init_parameters,
     label_raw_scores,
     load_checkpoint,
@@ -308,6 +310,25 @@ class TestEncode:
                 np.testing.assert_allclose(gates[k], two_branch(z), rtol=0,
                                            atol=2.3e-16)
             np.testing.assert_allclose(gates[3], np.tanh(z), rtol=0, atol=2.3e-16)
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_lone_sequence_runs_the_step_loop_whole(self, setup, n):
+        # A sequence alone runs `_lstm_steps` from step 0 and keeps its
+        # cells, which training's backward reads; in a group of two or more
+        # every cache keeps hidden states only.
+        _, _, config, params = setup
+        xs = np.random.default_rng(n).normal(size=(n, config.word_dim))
+        inputs, Wh = _halved(params, "lstm1f", xs)
+        states = np.zeros((n + 1, Wh.shape[1]))
+        cells = np.zeros_like(states)
+        _lstm_steps(Wh, inputs, states, cells)
+        [cache] = _lstm_forward(params, "lstm1f", [xs])
+        assert cache.xs is xs
+        assert np.array_equal(cache.states, states)
+        assert np.array_equal(cache.cells, cells)
+        for group in ([xs, xs[:1]], [xs[:1], xs, xs]):
+            caches = _lstm_forward(params, "lstm1f", group)
+            assert [c.cells for c in caches] == [None] * len(group)
 
     def test_empty_document_rejected(self, setup):
         _, _, _, params = setup
