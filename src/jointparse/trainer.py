@@ -36,6 +36,7 @@ from .model import (
     SpanScorer,
     StructuralStep,
     Vocabulary,
+    aligned_views,
     check_config,
     encode,
     init_parameters,
@@ -167,8 +168,11 @@ class Adam:
     def __init__(self, params, learning_rate=1e-3, clip_norm=5.0):
         self.learning_rate = learning_rate
         self.clip_norm = clip_norm
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        # Zeroed now: lazily zeroed pages cost more at the first update.
+        shapes = {key: array.shape for key, array in params.items()}
+        self.m, self.v = aligned_views(shapes), aligned_views(shapes)
+        for moment in (*self.m.values(), *self.v.values()):
+            moment.fill(0.0)
         self.t = 0
 
     def update(self, params, grads):
@@ -317,5 +321,17 @@ def train(
                 for key, array in params.items():
                     np.copyto(result.params[key], array)
             if out_dir is not None:
-                shutil.copyfile(epoch_path, f"{out_dir}/best.ckpt")
+                _publish(epoch_path, f"{out_dir}/best.ckpt")
     return result
+
+
+def _publish(source, target):
+    """Make `target` a hard link to `source`, renamed into place, or a copy
+    where the file system refuses the link.  `save_checkpoint` replaces
+    files rather than rewriting them, so the link keeps its contents."""
+    partial = f"{target}.{os.getpid()}.tmp"
+    try:
+        os.link(source, partial)
+    except OSError:
+        shutil.copyfile(source, partial)
+    os.replace(partial, target)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import deep_tree
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointparse import cli, model, transition
@@ -24,13 +24,17 @@ from jointparse.model import (
     _dropped,
     _encoder_backward,
     _halved,
+    _lstm_backward,
     _lstm_forward,
     _lstm_steps,
+    aligned,
+    aligned_views,
     init_parameters,
     label_raw_scores,
     load_checkpoint,
     loss_and_gradients,
     make_dropout_masks,
+    parameter_shapes,
     sample_hidden_mask,
     save_checkpoint,
     structural_raw_scores,
@@ -604,17 +608,21 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(path)
         buffer = loaded["embed"].base
         assert buffer.dtype == np.float64 and buffer.flags.c_contiguous
-        assert buffer.size == sum(array.size for array in params.values())
+        assert list(loaded) == list(parameter_shapes(vocab, config))
         for key, array in params.items():
             assert loaded[key].base is buffer
             assert loaded[key].flags.c_contiguous and loaded[key].flags.writeable
             assert np.array_equal(loaded[key], array)
-        # The views tile the buffer: no two share an element.
-        starts = sorted(
+        # In `parameter_shapes` order, each view starts on a cache line after
+        # the previous one ends, with a gap of under 8 elements.
+        spans = [
             (view.__array_interface__["data"][0], view.nbytes)
             for view in loaded.values()
+        ]
+        assert all(start % 64 == 0 for start, _ in spans)
+        assert all(
+            0 <= b - (a + n) < 8 * 8 for (a, n), (b, _) in zip(spans, spans[1:])
         )
-        assert all(a + n == b for (a, n), (b, _) in zip(starts, starts[1:]))
 
     def test_narrower_stored_dtype_loads_as_float64(self, setup, tmp_path):
         _, vocab, config, params = setup
@@ -862,6 +870,154 @@ class TestCheckpoint:
         np.savez(path, a=np.zeros(3))
         with pytest.raises(ModelError, match="checkpoint"):
             load_checkpoint(path)
+
+    def test_save_replaces_the_file_not_its_contents(self, setup, tmp_path):
+        # A hard link to the old file (as `train` makes `best.ckpt`) keeps
+        # the old arrays; the new file holds the new ones.
+        _, vocab, config, params = setup
+        path, link = tmp_path / "epoch-1.ckpt", tmp_path / "best.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        link.hardlink_to(path)
+        changed = {key: array + 1.0 for key, array in params.items()}
+        save_checkpoint(path, changed, vocab, config)
+        old, new = load_checkpoint(link)[0], load_checkpoint(path)[0]
+        for key in params:
+            assert np.array_equal(old[key], params[key])
+            assert np.array_equal(new[key], changed[key])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [link.name, path.name]
+
+    def test_failed_save_leaves_the_old_file(self, setup, tmp_path, monkeypatch):
+        _, vocab, config, params = setup
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        saved = path.read_bytes()
+
+        def crash(handle, **arrays):
+            handle.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, params, vocab, config)
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def _address(array):
+    return array.__array_interface__["data"][0]
+
+
+def _moved(array, elements):
+    """A copy of `array` whose data starts `elements` float64s past a
+    64-byte boundary."""
+    raw = aligned(array.size + elements)
+    copy = raw[elements:].reshape(array.shape)
+    copy[...] = array
+    return copy
+
+
+class TestAlignment:
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(0, 17), max_size=3).map(tuple), max_size=6
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_aligned_views_tile_one_buffer(self, shapes, seed):
+        # An empty array has no data to align; numpy may point it anywhere.
+        for shape in shapes:
+            array = aligned(shape)
+            assert array.shape == shape and array.dtype == np.float64
+            assert array.flags.c_contiguous
+            assert _address(array) % 64 == 0 or not array.size
+        views = aligned_views({f"p{k}": shape for k, shape in enumerate(shapes)})
+        assert [view.shape for view in views.values()] == shapes
+        assert all(v.flags.c_contiguous for v in views.values())
+        assert all(_address(v) % 64 == 0 for v in views.values() if v.size)
+        spans = sorted((_address(v), v.nbytes) for v in views.values() if v.size)
+        assert all(a + n <= b for (a, n), (b, _) in zip(spans, spans[1:]))
+        # Writes land in the one buffer: each view reads back its own values
+        # and the buffer holds them at the view's offset.
+        rng = np.random.default_rng(seed)
+        values = {key: rng.normal(size=view.shape) for key, view in views.items()}
+        for key, view in views.items():
+            view[...] = values[key]
+        for key, view in views.items():
+            assert np.array_equal(view, values[key])
+            if view.size:
+                base = view.base
+                start = (_address(view) - _address(base)) // 8
+                flat = base[start : start + view.size]
+                assert np.array_equal(flat, values[key].ravel())
+
+    def test_default_dims_streamed_arrays_start_on_cache_lines(self, tmp_path):
+        # The arrays a recurrent step or an update streams: parameters made
+        # or loaded, Adam's moments, the halved recurrent weights, and the
+        # LSTM caches' states and cells.
+        from jointparse.trainer import Adam
+
+        trees = generate_treebank("alignment", 3, max_tokens=10)
+        vocab = Vocabulary.from_treebank(trees)
+        config = ModelConfig()
+        params = init_parameters(vocab, config, np.random.default_rng(1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, vocab, config)
+        loaded, _, _ = load_checkpoint(path)
+        adam = Adam(params)
+        arrays = [*params.values(), *loaded.values(), *adam.m.values(),
+                  *adam.v.values()]
+        assert all(not moment.any() for moment in (*adam.m.values(), *adam.v.values()))
+        xs = np.random.default_rng(2).normal(size=(7, config.word_dim))
+        arrays.append(_halved(params, "lstm1f", xs)[1])
+        enc = encode(params, [1, 2, 3, 4, 5])
+        for cache in enc.caches.values():
+            arrays += [cache.states, cache.cells]
+        misaligned = [a.shape for a in arrays if _address(a) % 64]
+        assert not misaligned
+
+    @given(
+        offset=st.integers(1, 7),
+        hidden=st.integers(1, 24),
+        in_dim=st.integers(1, 12),
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(offset=2, hidden=200, in_dim=50, lengths=[30], seed=0)
+    @example(offset=2, hidden=200, in_dim=400, lengths=[12, 9], seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_lstm_outputs_do_not_depend_on_weight_alignment(
+        self, offset, hidden, in_dim, lengths, seed
+    ):
+        # Moving the weights 8-56 bytes off a cache line leaves the forward's
+        # states and the backward's gradients bit-identical: alignment may
+        # change only the speed.
+        rng = np.random.default_rng(seed)
+        H = hidden
+        params = {
+            "t.Wx": rng.normal(size=(4 * H, in_dim)) * 0.3,
+            "t.Wh": rng.normal(size=(4 * H, H)) * 0.3,
+            "t.b": rng.normal(size=4 * H) * 0.3,
+        }
+        sequences = [rng.normal(size=(n, in_dim)) for n in lengths]
+        d_states = rng.normal(size=(lengths[0] + 1, H))
+        results = []
+        for shift in (0, offset):
+            moved = {key: _moved(array, shift) for key, array in params.items()}
+            caches = _lstm_forward(moved, "t", sequences)
+            lone = _lstm_forward(moved, "t", sequences[:1])[0]
+            grads = {}
+            d_inputs = _lstm_backward(moved, "t", lone, d_states, grads)
+            # The step loop itself, on halved weights moved off a cache line.
+            inputs, half = _halved(moved, "t", sequences[0])
+            states, cells = np.zeros((2, lengths[0] + 1, H))
+            _lstm_steps(_moved(half, shift), inputs, states, cells)
+            results.append(
+                [c.states for c in caches] + [lone.cells, d_inputs, states, cells]
+                + [grads[key] for key in sorted(grads)]
+            )
+        for aligned_result, moved_result in zip(*results):
+            assert np.array_equal(aligned_result, moved_result)
 
 
 def test_span_scorer_interface(setup):

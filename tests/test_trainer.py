@@ -415,6 +415,33 @@ class TestTrain:
             assert np.array_equal(best[key], result.params[key])
         assert any(not np.array_equal(best[key], third[key]) for key in best)
 
+    @pytest.mark.parametrize("links", [True, False])
+    def test_best_checkpoint_is_the_best_epochs_file(
+        self, corpus, tmp_path, monkeypatch, links
+    ):
+        # `best.ckpt` is a hard link to the best epoch's file, or a copy of it
+        # where the file system refuses links; a second run into the same
+        # directory replaces it, and no temporary file is left behind.
+        def refuse(source, target):
+            raise OSError("links not supported")
+
+        if not links:
+            monkeypatch.setattr(trainer.os, "link", refuse)
+        config = oracle_free_config(epochs=3, seed=5)
+        for scores in ([10.0, 50.0, 20.0], [30.0, 20.0, 10.0]):
+            metrics = iter(scores)
+            monkeypatch.setattr(trainer, "dev_metrics", lambda *args: dict.fromkeys(
+                ("overall_f1", "struct_f1", "nuc_f1", "rel_f1"), next(metrics)))
+            result = train(corpus, config, SMALL_MODEL, out_dir=str(tmp_path))
+            best = tmp_path / "best.ckpt"
+            epoch = tmp_path / f"epoch-{result.best_epoch}.ckpt"
+            assert best.samefile(epoch) == links
+            assert best.read_bytes() == epoch.read_bytes()
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "best.ckpt", "epoch-1.ckpt", "epoch-2.ckpt", "epoch-3.ckpt"
+            ]
+        assert result.best_epoch == 1
+
     @pytest.mark.parametrize("scores, best_epoch", [
         ([0.5, 0.9, 0.1], 2),
         ([0.1, 0.2, 0.3], 3),
