@@ -18,15 +18,16 @@ every block once; a step's pre-activation is then a sum of two or three
 projected rows, and backward collects per-boundary gradients that one
 matrix product per block turns into weight and feature gradients.
 
-Each LSTM's forward stores only its hidden states and cells, 2H floats per
-token.  Its backward recomputes the gates from the stored states, the input
-projection plus one matrix product against the recurrent weights over all
-steps, and tanh(c) from the stored cells, so the memory of training grows
-linearly with document length.
+In training, each LSTM's forward stores its hidden states, its cells and
+every step's activated gates, 6H floats per token.  Its backward reads those
+gates rather than recomputing them, so the gradient is exactly that of the
+forward that was scored, and recomputes only tanh(c) from the stored cells;
+the memory of training grows linearly with document length.  Inference
+stores no gates.
 
 The per-step work left in Python loops is kept to few numpy calls.  The
-recurrence writes into reused rows and computes all four gates with one
-tanh, using sigmoid(z) = tanh(z/2)/2 + 1/2 on rows pre-scaled by 1/2.
+recurrence writes into preallocated rows and computes all four gates with
+one tanh, using sigmoid(z) = tanh(z/2)/2 + 1/2 on rows pre-scaled by 1/2.
 What a recurrent step streams starts on a 64-byte cache line: the
 parameters (one `aligned_views` layout, made or loaded), the halved
 recurrent weights, the states, cells and gate rows; where they start
@@ -197,11 +198,6 @@ class Vocabulary:
 # parameters
 
 
-def _glorot(rng, rows, cols):
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
-
-
 # Column blocks of each head's first layer, one per boundary vector it reads.
 HEAD_BLOCKS = {"shift": 2, "combine": 3, "label": 3}
 
@@ -271,16 +267,25 @@ def init_parameters(vocab, config, rng) -> dict:
     for key, view in params.items():
         kind = key.rpartition(".")[2]
         if key == "embed":
-            view[...] = rng.uniform(-0.1, 0.1, size=view.shape)
-        elif kind == "w2":
-            view[...] = _glorot(rng, 1, view.shape[0])[0]
-        elif kind[0] == "W":
-            view[...] = _glorot(rng, *view.shape)
+            _fill_uniform(rng, view, 0.1)
+        elif kind == "w2" or kind[0] == "W":  # Glorot, a scalar head's w2 as one row
+            rows, cols = view.shape if view.ndim == 2 else (1, view.shape[0])
+            _fill_uniform(rng, view, math.sqrt(6.0 / (rows + cols)))
         else:
             view.fill(0.0)
             if kind == "b":  # forget-gate bias keeps early memory open
                 view[config.hidden_dim : 2 * config.hidden_dim] = 1.0
     return params
+
+
+def _fill_uniform(rng, view, limit):
+    """Fill `view` in place with the draws of rng.uniform(-limit, limit),
+    bit for bit: numpy draws each as low + (high - low) * u from the
+    `random` stream, and high - low = 2 * limit exactly."""
+    flat = view.reshape(-1)
+    rng.random(out=flat)
+    flat *= 2.0 * limit
+    flat -= limit
 
 
 def zero_gradients(params) -> dict:
@@ -296,6 +301,7 @@ class _LstmCache:
     xs: np.ndarray          # (n, in_dim)
     states: np.ndarray      # (n+1, H); states[t] = hidden after t inputs
     cells: np.ndarray | None  # (n+1, H); None from a batched run of two or more
+    gates: np.ndarray | None = None  # (n, 4H) activated i, f, o, g; training only
 
 
 def _halved(params, name, xs):
@@ -329,19 +335,28 @@ def _activate(z):
     return z
 
 
-def _lstm_steps(Wh, inputs, states, cells, start=0):
+def _gate_views(z, H):
+    """`z`, its sigmoid gates and its i, f, o and g blocks along the last
+    axis."""
+    return z, z[..., : 3 * H], *(z[..., k * H : (k + 1) * H] for k in range(4))
+
+
+def _lstm_steps(Wh, inputs, states, cells, start=0, gates=None):
     """Steps start, start+1, ... of one sequence, one per row of `inputs`,
-    from states[start] and cells[start], one matrix-vector product each:
-    the gates and tanh(c) live in aligned rows reused across steps.  The
-    loop walks precomputed row views and inlines `_activate`'s operations
-    on one view of the sigmoid gates."""
+    from states[start] and cells[start], one matrix-vector product each.
+    Each step's activated gates stay in its row of `gates`, an array shaped
+    like `inputs`, or without it in one aligned row that every step reuses,
+    as tanh(c) does.  The loop walks precomputed row views and inlines
+    `_activate`'s operations on one view of the sigmoid gates."""
     H = Wh.shape[1]
-    z = aligned(4 * H)
-    i, f, o, g = (z[k * H : (k + 1) * H] for k in range(4))
-    sigmoids = z[: 3 * H]
+    if gates is None:
+        rows = map(itertools.repeat, _gate_views(aligned(4 * H), H))
+    else:
+        rows = _gate_views(gates, H)
     ig, tanh_cell = aligned(H), aligned(H)
-    for x, h, c, c_next, h_next in zip(
-        inputs, states[start:], cells[start:], cells[start + 1 :], states[start + 1 :]
+    for x, h, c, c_next, h_next, z, sigmoids, i, f, o, g in zip(
+        inputs, states[start:], cells[start:], cells[start + 1 :], states[start + 1 :],
+        *rows,
     ):
         np.dot(Wh, h, out=z)
         z += x
@@ -355,7 +370,7 @@ def _lstm_steps(Wh, inputs, states, cells, start=0):
         np.multiply(o, tanh_cell, out=h_next)
 
 
-def _lstm_forward(params, name, sequences) -> list:
+def _lstm_forward(params, name, sequences, gates=False) -> list:
     """Run LSTM `name` over each of `sequences`, a list of (n, in_dim)
     arrays that each start at step 0, and return each one's `_LstmCache`.
 
@@ -368,7 +383,9 @@ def _lstm_forward(params, name, sequences) -> list:
     sequences it runs.  Once one sequence is left, its state and cell go on
     in `_lstm_steps`, which thus runs a lone sequence whole.  A batched run
     keeps only hidden states: inference, which alone makes one, reads
-    nothing else; a lone sequence keeps its cells for the backward pass."""
+    nothing else.  A lone sequence keeps its cells, and with `gates`, as
+    training asks, every step's activated gates in one aligned (n, 4H)
+    array: the backward pass reads both."""
     lengths = [len(xs) for xs in sequences]
     order = sorted(range(len(sequences)), key=lambda k: -lengths[k])
     longest = lengths[order[0]]
@@ -410,29 +427,30 @@ def _lstm_forward(params, name, sequences) -> list:
         states[1 : len(rows[col]) + 1] = out[rows[col]]
         caches[k] = _LstmCache(sequences[k], states, None)
     if longest > steps:
+        lone = caches[order[0]]
         cells = aligned((longest + 1, H))
         cells[steps] = C[:, 0]
-        _lstm_steps(Wh, inputs[packed:], caches[order[0]].states, cells, steps)
+        kept = aligned((longest, 4 * H)) if gates and steps == 0 else None
+        _lstm_steps(Wh, inputs[packed:], lone.states, cells, steps, kept)
         if steps == 0:
-            caches[order[0]].cells = cells
+            lone.cells, lone.gates = cells, kept
     return caches
 
 
 def _lstm_backward(params, name, cache, d_states, grads):
-    """Backpropagate through a whole run of LSTM `name`.
+    """Backpropagate through a whole run of LSTM `name` from a cache that
+    kept its gates (`_lstm_forward` with `gates`).
 
-    The gates are recomputed from the stored states, with one matrix product
-    over all steps in place of the forward's per-step products, and tanh(c)
-    from the stored cells.  `d_states` holds the external gradient arriving
-    at each hidden state (boundary reads plus next-layer inputs).  Stores
-    the parameter gradients in `grads` and returns the input gradients.
+    It reads the forward's own activated gates, so the gradient is exactly
+    that of the forward that was scored, and tanh(c) from the stored cells.
+    `d_states` holds the external gradient arriving at each hidden state
+    (boundary reads plus next-layer inputs).  Stores the parameter
+    gradients in `grads` and returns the input gradients.
     """
     n = cache.xs.shape[0]
     Wh = params[f"{name}.Wh"]
     H = Wh.shape[1]
-    gates, Wh_half = _halved(params, name, cache.xs)
-    gates += cache.states[:-1] @ Wh_half.T
-    i, f, o, g = np.split(_activate(gates), 4, axis=1)
+    i, f, o, g = np.split(cache.gates, 4, axis=1)
     tc = np.tanh(cache.cells[1:])
     # Row t of dZ starts as step t's local derivatives, the factors that
     # scale the cell gradient into the i, f and g blocks and the hidden
@@ -559,18 +577,19 @@ def encode(params, ids, masks: DropoutMasks | None = None, lengths=None, rows=No
     if not sizes or min(sizes) < 1 or sum(sizes) != len(ids):
         raise ModelError("cannot encode an empty document")
     docs = np.split(params["embed"][ids], np.cumsum(sizes)[:-1])
-    c1f = _lstm_forward(params, "lstm1f", docs)
-    c1b = _lstm_forward(params, "lstm1b", [E[::-1] for E in docs])
+    train = lengths is None  # the backward pass reads the gates
+    c1f = _lstm_forward(params, "lstm1f", docs, train)
+    c1b = _lstm_forward(params, "lstm1b", [E[::-1] for E in docs], train)
     out1 = [
         np.concatenate([f.states[1:], b.states[1:][::-1]], axis=1)
         for f, b in zip(c1f, c1b)
     ]
     if masks is not None:
         _dropped(out1[0], masks.layer1, 1.0 / masks.keep)
-    c2f = _lstm_forward(params, "lstm2f", out1)
-    c2b = _lstm_forward(params, "lstm2b", [x[::-1] for x in out1])
+    c2f = _lstm_forward(params, "lstm2f", out1, train)
+    c2b = _lstm_forward(params, "lstm2b", [x[::-1] for x in out1], train)
     layers = list(zip(c1f, c1b, c2f, c2b))
-    if lengths is not None:
+    if not train:
         rows = rows or [None] * len(sizes)
         return [
             _features([c.states for c in caches], r) for caches, r in zip(layers, rows)
@@ -851,10 +870,11 @@ def loss_and_gradients(params, enc: Encoding, steps):
             f"step {scored} ({step!r}): target slot {step.target} is not legal"
         )
 
+    enc.heads = None  # the projection's backward reads only the features
     dF = _projection_backward(params, grads, enc, dheads)
     # Free these before the encoder's backward.
     del dheads
-    enc.heads = enc.boundary = None
+    enc.boundary = None
     grads.update(_encoder_backward(params, enc, dF))
     return float(running[-1]) if scored else 0.0, {key: grads[key] for key in params}
 

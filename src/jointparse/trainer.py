@@ -20,6 +20,7 @@ once per epoch.  Updates are per document; the best-dev checkpoint is
 retained.
 """
 
+import math
 import os
 import shutil
 import time
@@ -162,8 +163,15 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 class Adam:
     """Adaptive-moment gradient descent with global norm clipping.  `update`
-    consumes the passed gradients: clipping scales them in place, and each
-    then serves as its parameter's step buffer."""
+    consumes the passed gradients, each its parameter's step buffer.
+
+    With clip scale s (1 unless the gradients' global norm exceeds
+    clip_norm, then clip_norm / norm) and bias corrections c1 and c2, it
+    computes m = b1*m + g*((1-b1)*s), v = b2*v + g**2*((1-b2)*s*s) and
+    params -= (lr*sqrt(c2)/c1) * m / (sqrt(v) + eps*sqrt(c2)): the textbook
+    update on the clipped gradient (Kingma and Ba 2015, section 2) in exact
+    arithmetic, with clipping and the corrections folded into scalars, so
+    each element takes one divide and no clipping pass."""
 
     def __init__(self, params, learning_rate=1e-3, clip_norm=5.0):
         self.learning_rate = learning_rate
@@ -177,32 +185,28 @@ class Adam:
 
     def update(self, params, grads):
         self.t += 1
+        scale = 1.0
         if self.clip_norm > 0.0:
-            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
             if total > self.clip_norm:
                 scale = self.clip_norm / total
-                for grad in grads.values():
-                    grad *= scale
-        correction1 = 1.0 - BETA1 ** self.t
-        correction2 = 1.0 - BETA2 ** self.t
-        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
-        # params -= lr * (m/c1) / (sqrt(v/c2) + eps), computed in place with
-        # the same operations, so the result is that formula's bit for bit.
+        root2 = math.sqrt(1.0 - BETA2 ** self.t)
+        step = self.learning_rate * root2 / (1.0 - BETA1 ** self.t)
+        epsilon = EPSILON * root2
+        rate1, rate2 = (1.0 - BETA1) * scale, (1.0 - BETA2) * scale * scale
         for key, grad in grads.items():
             m, v = self.m[key], self.v[key]
             denom = np.square(grad)
-            denom *= 1.0 - BETA2
+            denom *= rate2
             v *= BETA2
             v += denom
             m *= BETA1
-            grad *= 1.0 - BETA1
+            grad *= rate1
             m += grad
-            np.divide(v, correction2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += EPSILON
-            np.divide(m, correction1, out=grad)
-            grad /= denom
-            grad *= self.learning_rate
+            np.sqrt(v, out=denom)
+            denom += epsilon
+            np.divide(m, denom, out=grad)
+            grad *= step
             params[key] -= grad
 
 

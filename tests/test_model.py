@@ -23,6 +23,7 @@ from jointparse.model import (
     _activate,
     _dropped,
     _encoder_backward,
+    _fill_uniform,
     _halved,
     _lstm_backward,
     _lstm_forward,
@@ -180,10 +181,10 @@ def _reference_loss(params, ids, steps, masks):
     return loss, grads
 
 
-def _gate_keeping_forward(params, name, sequences):
+def _gate_keeping_forward(params, name, sequences, gates=True):
     """The model's LSTM forward of one sequence, step for step, keeping
     every step's gates (sigmoid i, f, o and tanh g) and tanh(c) in the
-    cache."""
+    cache whatever `gates`, which `encode` passes, says."""
     [xs] = sequences
     Wx, Wh, b = (params[f"{name}.{part}"] for part in ("Wx", "Wh", "b"))
     n, H = xs.shape[0], Wh.shape[1]
@@ -283,11 +284,11 @@ class TestEncode:
 
     def test_gate_form_matches_two_branch_sigmoid_and_tanh(self):
         # With a zero input a step's pre-activations are `b`, so the gates the
-        # forward and backward share are sigmoid on the i, f and o blocks and
-        # tanh on g at chosen points, whether taken one row at a time (the
-        # forward) or over all rows at once (the backward).  The tanh form of
-        # the sigmoid flushes it to 0 below about -37, where the two-branch
-        # form is subnormal, so the check is absolute.
+        # forward keeps for the backward are sigmoid on the i, f and o blocks
+        # and tanh on g at chosen points, whether taken one row at a time (a
+        # lone sequence) or over many rows at once (a batched step).  The
+        # tanh form of the sigmoid flushes it to 0 below about -37, where the
+        # two-branch form is subnormal, so the check is absolute.
         def two_branch(x):
             out = np.empty_like(x)
             pos = x >= 0
@@ -551,17 +552,22 @@ class TestStackedLoss:
             assert np.abs(grads[key] - array).max() <= 1e-12 * scale, key
 
     @pytest.mark.parametrize("rate", [0.0, 0.5])
-    def test_recomputed_gates_match_the_forwards_own(self, setup, rate,
-                                                     monkeypatch):
-        # The backward recomputes the gates with one matrix product per run,
-        # so they may differ from the forward's per-step products in the last
-        # bits; the forward itself, and so the loss, is unchanged.
+    def test_kept_gates_match_the_forwards_own(self, setup, rate, monkeypatch):
+        # Training's forward keeps every step's gates, bit for bit those of a
+        # plain step-by-step forward, and the backward reads them; a
+        # step-by-step backward on the same gates orders its sums otherwise.
         _, vocab, config, params = setup
         rng = np.random.default_rng(23)
         ids = rng.integers(0, vocab.n_words, 40)
         masks = make_dropout_masks(len(ids), config, rate, rng)
         steps = _random_steps(60, len(ids), vocab.label_dim, lambda: None, rng)
-        loss, grads = loss_and_gradients(params, encode(params, ids, masks), steps)
+        enc = encode(params, ids, masks)
+        for name, cache in enc.caches.items():
+            [want] = _gate_keeping_forward(params, name, [cache.xs])
+            assert cache.gates.shape == want.gates.shape
+            assert np.array_equal(cache.gates, want.gates), name
+            assert np.array_equal(cache.states, want.states), name
+        loss, grads = loss_and_gradients(params, enc, steps)
         monkeypatch.setattr(model, "_lstm_forward", _gate_keeping_forward)
         monkeypatch.setattr(model, "_lstm_backward", _gate_reading_backward)
         want_loss, want = loss_and_gradients(
@@ -954,7 +960,7 @@ class TestAlignment:
     def test_default_dims_streamed_arrays_start_on_cache_lines(self, tmp_path):
         # The arrays a recurrent step or an update streams: parameters made
         # or loaded, Adam's moments, the halved recurrent weights, and the
-        # LSTM caches' states and cells.
+        # LSTM caches' states, cells and gates.
         from jointparse.trainer import Adam
 
         trees = generate_treebank("alignment", 3, max_tokens=10)
@@ -972,7 +978,7 @@ class TestAlignment:
         arrays.append(_halved(params, "lstm1f", xs)[1])
         enc = encode(params, [1, 2, 3, 4, 5])
         for cache in enc.caches.values():
-            arrays += [cache.states, cache.cells]
+            arrays += [cache.states, cache.cells, cache.gates]
         misaligned = [a.shape for a in arrays if _address(a) % 64]
         assert not misaligned
 
@@ -990,8 +996,8 @@ class TestAlignment:
         self, offset, hidden, in_dim, lengths, seed
     ):
         # Moving the weights 8-56 bytes off a cache line leaves the forward's
-        # states and the backward's gradients bit-identical: alignment may
-        # change only the speed.
+        # states and kept gates and the backward's gradients bit-identical:
+        # alignment may change only the speed.
         rng = np.random.default_rng(seed)
         H = hidden
         params = {
@@ -1005,7 +1011,7 @@ class TestAlignment:
         for shift in (0, offset):
             moved = {key: _moved(array, shift) for key, array in params.items()}
             caches = _lstm_forward(moved, "t", sequences)
-            lone = _lstm_forward(moved, "t", sequences[:1])[0]
+            lone = _lstm_forward(moved, "t", sequences[:1], gates=True)[0]
             grads = {}
             d_inputs = _lstm_backward(moved, "t", lone, d_states, grads)
             # The step loop itself, on halved weights moved off a cache line.
@@ -1013,7 +1019,8 @@ class TestAlignment:
             states, cells = np.zeros((2, lengths[0] + 1, H))
             _lstm_steps(_moved(half, shift), inputs, states, cells)
             results.append(
-                [c.states for c in caches] + [lone.cells, d_inputs, states, cells]
+                [c.states for c in caches]
+                + [lone.cells, lone.gates, d_inputs, states, cells]
                 + [grads[key] for key in sorted(grads)]
             )
         for aligned_result, moved_result in zip(*results):
@@ -1030,6 +1037,31 @@ def test_span_scorer_interface(setup):
     labels = scorer.labels([0, 1], [1, 1], [2, 2])  # one row per site
     assert labels.shape == (2, vocab.label_dim)
     assert scorer.inventory()[0] is None
+
+
+def test_inference_caches_hold_no_gates(setup, monkeypatch):
+    # Only training's backward reads the gates: a parse's recurrences, over
+    # one document or a group, keep none, and a training encode keeps them
+    # in all four LSTMs.
+    _, vocab, config, params = setup
+    caches = []
+    original = model._lstm_forward
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        caches.extend(result)
+        return result
+
+    monkeypatch.setattr(model, "_lstm_forward", recorded)
+    scorer = SpanScorer(params, vocab)
+    for documents in ([["w1", "w2", "w3"]], [["w1"], ["w2", "w3", "w4"]]):
+        scorer.prepare(documents)
+    assert len(caches) == 4 * 3
+    assert all(cache.gates is None for cache in caches)
+    caches.clear()
+    encode(params, [1, 2, 3])
+    assert len(caches) == 4
+    assert all(cache.gates.shape == (3, 4 * config.hidden_dim) for cache in caches)
 
 
 def test_prepared_scorer_keeps_only_head_rows(setup):
@@ -1205,6 +1237,53 @@ def test_decoding_memory_after_prepare_is_bounded_by_label_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 2**20, peak
+
+
+@given(
+    shape=st.lists(st.integers(0, 9), min_size=1, max_size=2).map(tuple),
+    limit=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_fill_uniform_draws_what_rng_uniform_draws(shape, limit, seed):
+    # Filling a view in place draws rng.uniform(-limit, limit)'s values bit
+    # for bit and leaves the stream where it leaves it.
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = want_rng.uniform(-limit, limit, size=shape)
+    got = aligned(shape)
+    _fill_uniform(got_rng, got, limit)
+    assert np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
+@given(
+    dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_init_parameters_draw_as_rng_uniform(setup, dims, seed):
+    # The in-place fills give what drawing each parameter with rng.uniform,
+    # in `parameter_shapes` order, gives: the embeddings in [-0.1, 0.1],
+    # weights Glorot-uniform (a scalar head's w2 as one row), biases zero
+    # but for the forget gates' 1.
+    _, vocab, _, _ = setup
+    config = ModelConfig(*dims)
+    params = init_parameters(vocab, config, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    H = config.hidden_dim
+    for key, shape in parameter_shapes(vocab, config).items():
+        kind = key.rpartition(".")[2]
+        if key == "embed":
+            want = rng.uniform(-0.1, 0.1, size=shape)
+        elif kind == "w2" or kind[0] == "W":
+            rows, cols = shape if len(shape) == 2 else (1, shape[0])
+            limit = np.sqrt(6.0 / (rows + cols))
+            want = rng.uniform(-limit, limit, size=(rows, cols)).reshape(shape)
+        else:
+            want = np.zeros(shape)
+            if kind == "b":
+                want[H : 2 * H] = 1.0
+        assert np.array_equal(params[key], want), key
 
 
 def test_zero_gradients_match_shapes(setup):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -271,6 +272,37 @@ class TestRollout:
         short, long = peak(deep_tree(100)), peak(deep_tree(200))  # 201, 401 tokens
         assert long <= 2.3 * short, (short, long)
 
+    def test_memory_per_token_holds_states_cells_and_gates(self):
+        # Per token, what one rollout and its loss may hold at their peak, in
+        # floats: each of the four LSTMs' states, cells and gates (24H), the
+        # first layer's output (2H), the boundary features, their gradient
+        # and one block's product (12H), the dropout masks (under H), the
+        # embeddings, and the projected rows' gradients (8 scorer_hidden);
+        # then about 1.6 KB of steps with their hidden masks, and the head
+        # gradients, which do not grow with the document.  Keeping tanh(c)
+        # as well would add 4H, and keeping the projected rows through the
+        # projection's backward 8 scorer_hidden.
+        doc = deep_tree(200)  # 401 tokens
+        config = ModelConfig(word_dim=8, hidden_dim=32, scorer_hidden=16)
+        vocab = Vocabulary.from_treebank([doc])
+        params = init_parameters(vocab, config, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            example = rollout(doc, params, vocab, config, TrainConfig(dropout=0.5),
+                              np.random.default_rng(2))
+            loss_and_gradients(params, example.enc, example.steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        H, hs = config.hidden_dim, config.scorer_hidden
+        per_token = 8 * (39 * H + config.word_dim + 8 * hs) + 2048
+        heads = sum(
+            array.nbytes for key, array in params.items()
+            if key.partition(".")[0] in model.HEAD_BLOCKS
+        )
+        bound = per_token * len(doc.tokens) + heads
+        assert peak <= bound, (peak, bound)
+
 
     @pytest.mark.parametrize("dropout", [0.0, 0.5])
     @pytest.mark.parametrize("mode", ["end2end", "goldedu"])
@@ -315,33 +347,49 @@ class TestAdam:
 
     @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
     def test_matches_out_of_place_formula_bit_for_bit(self, clip_norm):
-        # The textbook update, written out of place, as the reference.
+        # The update written out of place in its own order, with the clip
+        # scale and the bias corrections folded into scalars, as the
+        # reference; the textbook order on the clipped gradient agrees with
+        # it to within rounding.
         lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(11)
         shapes = {"w": (7, 5), "b": (5,), "s": (1,)}
         params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
         expected = {k: v.copy() for k, v in params.items()}
-        m = {k: np.zeros(shape) for k, shape in shapes.items()}
-        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        textbook = {k: v.copy() for k, v in params.items()}
+        m, v, tm, tv = ({k: np.zeros(shape) for k, shape in shapes.items()}
+                        for _ in range(4))
         adam = Adam(params, lr, clip_norm)
+        clipped_steps = 0
         for t in range(1, 21):
             grads = {k: rng.normal(size=shape) * 3.0 for k, shape in shapes.items()}
-            reference = {k: g.copy() for k, g in grads.items()}
-            total = np.sqrt(sum(float(np.sum(g * g)) for g in reference.values()))
-            if clip_norm > 0.0 and total > clip_norm:
-                reference = {k: g * (clip_norm / total) for k, g in reference.items()}
-            for key, grad in reference.items():
-                m[key] = beta1 * m[key] + (1.0 - beta1) * grad
-                v[key] = beta2 * v[key] + (1.0 - beta2) * grad**2
-                step = (m[key] / (1.0 - beta1**t)) / (
-                    np.sqrt(v[key] / (1.0 - beta2**t)) + eps
+            total = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+            scale = clip_norm / total if 0.0 < clip_norm < total else 1.0
+            clipped_steps += scale < 1.0
+            root2 = math.sqrt(1.0 - beta2**t)
+            step = lr * root2 / (1.0 - beta1**t)
+            for key, grad in grads.items():
+                m[key] = beta1 * m[key] + grad * ((1.0 - beta1) * scale)
+                v[key] = beta2 * v[key] + grad**2 * ((1.0 - beta2) * scale * scale)
+                expected[key] = expected[key] - step * (
+                    m[key] / (np.sqrt(v[key]) + eps * root2)
                 )
-                expected[key] = expected[key] - lr * step
+                clipped = grad * scale
+                tm[key] = beta1 * tm[key] + (1.0 - beta1) * clipped
+                tv[key] = beta2 * tv[key] + (1.0 - beta2) * clipped**2
+                textbook[key] = textbook[key] - lr * (tm[key] / (1.0 - beta1**t)) / (
+                    np.sqrt(tv[key] / (1.0 - beta2**t)) + eps
+                )
             adam.update(params, grads)
             for key in shapes:
                 assert np.array_equal(params[key], expected[key])
                 assert np.array_equal(adam.m[key], m[key])
                 assert np.array_equal(adam.v[key], v[key])
+                np.testing.assert_allclose(params[key], textbook[key], rtol=1e-12, atol=0)
+                for moment, want in ((adam.m, tm), (adam.v, tv)):
+                    error = np.abs(moment[key] - want[key]).max()
+                    assert error <= 1e-12 * np.abs(want[key]).max(), key
+        assert clipped_steps == (20 if clip_norm else 0)
 
 
 class TestTrain:
